@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .graph_core import (
     AddressingError,
@@ -238,6 +238,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+_DOC_FIELD_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "instance_sha256": ("a string", _is_str),
+    "algo": ("a string", _is_str),
+    "mode": ("a string", _is_str),
+    "budget": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "cost": ("an integer", _is_int),
+    "reached": ("a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v))),
+}
+
+
 def _doc_field(doc: dict[str, Any], key: str) -> Any:
     if key not in doc:
         raise ParseError(f"solution document lacks {key!r}")
@@ -254,6 +272,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParseError(f"solution document must declare format {DOC_FORMAT!r}")
     for key in ("instance_sha256", "algo", "mode", "budget", "ops", "cost", "reached"):
         _doc_field(doc, key)
+    for key, (kind, has_type) in _DOC_FIELD_TYPES.items():
+        if not has_type(doc[key]):
+            raise ParseError(f"solution document field {key!r} must be {kind}")
     try:
         ops = tuple(
             ShiftOperation(int(o["path"]), int(o["edge_index"]), int(o["delta"]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .graph_core import (
     InvalidInstanceError,
@@ -37,12 +38,15 @@ from .switch_structures import (
     Switch,
     SwitchPathTree,
     SwitchVertexSet,
+    _all_reach_root,
     enumerate_spts,
     enumerate_svss,
-    implied_spt,
+    enumerate_tree_svss,
     is_temporal_switch,
     is_valid_svs,
     make_svs,
+    place_switches,
+    root_first,
     suffix_union,
 )
 
@@ -311,6 +315,52 @@ def min_cost_for_svs(
     return value, tuple(ops)
 
 
+_Candidate = tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet]
+
+
+def _priced(
+    graph: TemporalKPathGraph,
+    svss: Iterable[SwitchVertexSet],
+    mode: Mode,
+    b: int,
+    limit_svss: int,
+) -> Iterator[_Candidate]:
+    """(ops, cost, svs) for each affordable set of svss, counted against the limit."""
+    for count, svs in enumerate(svss, 1):
+        if count > limit_svss:
+            raise ResourceLimitError(
+                f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
+            )
+        priced = min_cost_for_svs(graph, svs, mode, b)
+        if priced is not None:
+            cost, ops = priced
+            yield ops, cost, svs
+
+
+def _keep_best(
+    graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
+) -> _Candidate | None:
+    """The candidate whose suffixes cover the most (ties: cheaper, then first seen)."""
+    best_key: tuple[int, int] | None = None
+    best = None
+    for cand in candidates:
+        key = (len(suffix_union(graph, cand[2], s)), -cand[1])
+        if best_key is None or key > best_key:
+            best_key, best = key, cand
+    return best
+
+
+def _best_replayed(
+    graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
+) -> BudgetedSolution:
+    """The best candidate, reporting the full reach of the graph it shifts."""
+    best = _keep_best(graph, s, candidates)
+    assert best is not None  # the empty switch set is always a candidate
+    ops, cost, svs = best
+    shifted, _ = apply_sequence(graph, ops)
+    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
+
+
 def solve_xp_by_k(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -325,27 +375,7 @@ def solve_xp_by_k(
     """
     _check_budget(b)
     _require_source(graph, s)
-    best_key: tuple[int, int] | None = None
-    best: tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet] | None = None
-    count = 0
-    for svs in enumerate_svss(graph):
-        count += 1
-        if count > limit_svss:
-            raise ResourceLimitError(
-                f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
-            )
-        priced = min_cost_for_svs(graph, svs, mode, b)
-        if priced is None:
-            continue
-        cost, ops = priced
-        key = (len(suffix_union(graph, svs, s)), -cost)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (ops, cost, svs)
-    assert best is not None  # the empty switch set costs nothing
-    ops, cost, svs = best
-    shifted, _ = apply_sequence(graph, ops)
-    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
+    return _best_replayed(graph, s, _priced(graph, enumerate_svss(graph), mode, b, limit_svss))
 
 
 def solve_fixed_spt(
@@ -362,52 +392,28 @@ def solve_fixed_spt(
     reached is what the tree itself guarantees (the union of opened path
     suffixes), not the incidental reach of the shifted graph. If no
     affordable switch set induces the tree, returns the bare source-path
-    suffix, or None when empty_fallback is off.
+    suffix, or None when empty_fallback is off. limit_svss counts only the
+    switch sets of this tree.
     """
     _check_budget(b)
     _require_source(graph, s)
     root = graph.source_path_id
-    children = [child for child, _ in spt.parents]
-    if len(set(children)) != len(children) or root in children:
-        raise ParameterError("tree must assign one parent per path, none to the root")
     mapping = dict(spt.parents)
+    if len(mapping) != len(spt.parents) or root in mapping:
+        raise ParameterError("tree must assign one parent per path, none to the root")
     for child, parent in spt.parents:
         if not (0 <= child < graph.k and 0 <= parent < graph.k):
             raise ParameterError(f"tree edge {child}<-{parent} is off this graph")
-        seen = set()
-        while child != root:
-            if child in seen or child not in mapping:
-                raise ParameterError("tree does not hang together under the source path")
-            seen.add(child)
-            child = mapping[child]
+    if not _all_reach_root(mapping, root):
+        raise ParameterError("tree does not hang together under the source path")
 
-    best_key: tuple[int, int] | None = None
-    best: tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet] | None = None
-    count = 0
-    for svs in enumerate_svss(graph):
-        count += 1
-        if count > limit_svss:
-            raise ResourceLimitError(
-                f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
-            )
-        if implied_spt(svs) != spt:
-            continue
-        priced = min_cost_for_svs(graph, svs, mode, b)
-        if priced is None:
-            continue
-        cost, ops = priced
-        key = (len(suffix_union(graph, svs, s)), -cost)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (ops, cost, svs)
+    best = _keep_best(
+        graph, s, _priced(graph, enumerate_tree_svss(graph, spt), mode, b, limit_svss)
+    )
     if best is None:
         if not empty_fallback:
             return None
-        src_path = graph.source_path
-        start = src_path.find(s)
-        return BudgetedSolution(
-            (), 0, frozenset(src_path.vertices[start:]), EMPTY_SVS
-        )
+        best = ((), 0, EMPTY_SVS)
     ops, cost, svs = best
     return BudgetedSolution(ops, cost, frozenset(suffix_union(graph, svs, s)), svs)
 
@@ -422,76 +428,43 @@ def solve_fpt_delay(graph: TemporalKPathGraph, s: Vertex, b: int) -> BudgetedSol
     """
     _check_budget(b)
     _require_source(graph, s)
+    return _best_replayed(graph, s, _delay_guesses(graph, s, b))
+
+
+def _delay_guesses(graph: TemporalKPathGraph, s: Vertex, b: int) -> Iterator[_Candidate]:
+    """(ops, cost, svs) for every tree and delay split that places."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    best_key: tuple[int, int] | None = None
-    best: tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet] | None = None
     for spt in enumerate_spts(graph.k, include_partial=True, root=src):
         edges = spt.parents
+        order = list(root_first(src, spt.children_of))
         for split in itertools.product(range(b + 1), repeat=len(edges)):
             if sum(split) > b:
                 continue
             delay = {child: amount for (child, _), amount in zip(edges, split)}
             delay[src] = 0
-            placed = _greedy_delay_walk(graph, spt, src, pos_s, delay)
+
+            def fits(parent: int, child: int, anchor: int, pos_p: int, pos_c: int) -> bool:
+                ppath = graph.paths[parent]
+                carried = max(0, delay[parent] - edge_gap(ppath, anchor, pos_p - 1))
+                return (
+                    ppath.labels[pos_p - 1] + carried
+                    < graph.paths[child].labels[pos_c] + delay[child]
+                )
+
+            placed = place_switches(graph, order, pos_s, fits)
             if placed is None:
                 continue
-            anchor, chosen = placed
-            switches = []
-            ops = []
-            for child in sorted(chosen):
-                vertex, pos_c = chosen[child]
-                switches.append(Switch(vertex, spt.parent_of(child), child))
-                if delay[child]:
-                    ops.append(ShiftOperation(child, pos_c, delay[child]))
-            svs = make_svs(switches)
-            shifted, cost = apply_sequence(graph, tuple(ops))
-            # the greedy condition is the temporality condition, verbatim
-            assert all(is_temporal_switch(shifted, sw) for sw in switches)
-            key = (len(suffix_union(graph, svs, s)), -cost)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (tuple(ops), cost, svs)
-    assert best is not None  # the bare tree with no switches always places
-    ops, cost, svs = best
-    shifted, _ = apply_sequence(graph, ops)
-    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
-
-
-def _greedy_delay_walk(
-    graph: TemporalKPathGraph,
-    spt: SwitchPathTree,
-    src: int,
-    pos_s: int,
-    delay: dict[int, int],
-) -> tuple[dict[int, int], dict[int, tuple[Vertex, int]]] | None:
-    """Commit each tree edge to its earliest workable switch vertex."""
-    anchor = {src: pos_s}
-    chosen: dict[int, tuple[Vertex, int]] = {}
-    queue = [src]
-    while queue:
-        parent = queue.pop(0)
-        ppath = graph.paths[parent]
-        for child in spt.children_of(parent):
-            cpath = graph.paths[child]
-            hit = None
-            for pos_c in range(len(cpath.vertices) - 1):
-                v = cpath.vertices[pos_c]
-                pos_p = ppath.find(v)
-                if pos_p is None or pos_p <= anchor[parent]:
-                    continue
-                carried = max(
-                    0, delay[parent] - edge_gap(ppath, anchor[parent], pos_p - 1)
-                )
-                if ppath.labels[pos_p - 1] + carried < cpath.labels[pos_c] + delay[child]:
-                    hit = (v, pos_c)
-                    break
-            if hit is None:
-                return None
-            chosen[child] = hit
-            anchor[child] = hit[1]
-            queue.append(child)
-    return anchor, chosen
+            ops = tuple(
+                ShiftOperation(child, pos_c, delay[child])
+                for child, (_, pos_c) in sorted(placed.items())
+                if delay[child]
+            )
+            svs = make_svs(sw for sw, _ in placed.values())
+            shifted, cost = apply_sequence(graph, ops)
+            # the fit test is the temporality condition, verbatim
+            assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
+            yield ops, cost, svs
 
 
 @dataclass(frozen=True)
@@ -560,58 +533,46 @@ def solve_fpt_general(
     """
     _check_budget(b)
     _require_source(graph, s)
+    return _best_replayed(graph, s, _laid_out_guesses(graph, s, b, mode))
+
+
+def _laid_out_guesses(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+) -> Iterator[_Candidate]:
+    """(ops, cost, svs) for every guess that places and replays temporal."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
     slots = _switch_slots(graph)
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
-
-    best_key: tuple[int, int] | None = None
-    best: tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet] | None = None
     for spt in enumerate_spts(graph.k, include_partial=True, root=src):
-        parents_with_kids = sorted(
-            {parent for _, parent in spt.parents}
-        )
+        parents_with_kids = sorted({parent for _, parent in spt.parents})
         orderings = itertools.product(
             *(itertools.permutations(spt.children_of(p)) for p in parents_with_kids)
         )
         for ordering in orderings:
             sigma = dict(zip(parents_with_kids, ordering))
-            chain_slots = _chain_slots(spt, sigma, src)
+            families = [
+                (parent, kids)
+                for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
+                if kids
+            ]
+            chain_slots = [
+                (parent, child, i)
+                for parent, kids in families
+                for i, child in enumerate(kids)
+            ]
             for assign in _guesses(
                 chain_slots, sigma, slots, src, b, allow_delay, allow_advance
             ):
-                outcome = _lay_out(graph, sigma, assign, slots, src, pos_s)
+                outcome = _lay_out(graph, families, assign, slots, src, pos_s)
                 if outcome is None:
                     continue
                 svs, ops, cost = outcome
                 shifted, _ = apply_sequence(graph, ops)
-                if not all(
-                    is_temporal_switch(shifted, sw) for sw in svs.switches
-                ):
-                    continue  # guess placed but physics disagreed; drop it
-                key = (len(suffix_union(graph, svs, s)), -cost)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = (ops, cost, svs)
-    assert best is not None  # the bare source path is always a candidate
-    ops, cost, svs = best
-    shifted, _ = apply_sequence(graph, ops)
-    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
-
-
-def _chain_slots(
-    spt: SwitchPathTree, sigma: dict[int, tuple[int, ...]], src: int
-) -> list[tuple[int, int, int]]:
-    """(parent, child, index-in-chain) in root-first order."""
-    out: list[tuple[int, int, int]] = []
-    queue = [src]
-    while queue:
-        parent = queue.pop(0)
-        kids = sigma.get(parent, ())
-        out.extend((parent, child, i) for i, child in enumerate(kids))
-        queue.extend(kids)
-    return out
+                # a guess can place and still fail the replay; drop it then
+                if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
+                    yield ops, cost, svs
 
 
 def _guesses(
@@ -687,42 +648,34 @@ def _guesses(
 
 def _lay_out(
     graph: TemporalKPathGraph,
-    sigma: dict[int, tuple[int, ...]],
+    families: list[tuple[int, tuple[int, ...]]],
     assign: dict[int, _Guess],
     slots,
     src: int,
     pos_s: int,
 ) -> tuple[SwitchVertexSet, tuple[ShiftOperation, ...], int] | None:
-    """Place every guessed switch, earliest first, batching exact couplings."""
-    anchor = {src: pos_s}
-    chosen: dict[int, tuple[int, int]] = {}  # child -> (pos on parent, pos on child)
-    queue = [src]
-    while queue:
-        parent = queue.pop(0)
-        kids = sigma.get(parent, ())
-        if kids:
-            placed = _place_chain(graph, parent, kids, assign, slots, anchor, src)
-            if placed is None:
-                return None
-            for child, pair in placed.items():
-                chosen[child] = pair
-                anchor[child] = pair[1]
-        queue.extend(kids)
+    """Place every guessed switch, earliest first, batching exact couplings.
 
+    families holds each parent with its ordered children, root first.
+    """
+    anchor = {src: pos_s}
     switches = []
     net: dict[tuple[int, int], int] = {}
     cost = 0
-    for child in sorted(chosen):
-        pos_p, pos_q = chosen[child]
-        parent = next(p for p, ks in sigma.items() if child in ks)
-        guess = assign[child]
-        switches.append(Switch(graph.paths[child].vertices[pos_q], parent, child))
-        cost += guess.cost
-        if guess.delay:
-            net[(child, pos_q)] = net.get((child, pos_q), 0) + guess.delay
-        if guess.own_advance:
-            key = (parent, pos_p - 1)
-            net[key] = net.get(key, 0) + guess.own_advance
+    for parent, kids in families:
+        placed = _place_chain(graph, parent, kids, assign, slots, anchor, src)
+        if placed is None:
+            return None
+        for child, (pos_p, pos_q) in placed.items():
+            anchor[child] = pos_q
+            guess = assign[child]
+            switches.append(Switch(graph.paths[child].vertices[pos_q], parent, child))
+            cost += guess.cost
+            if guess.delay:
+                net[(child, pos_q)] = net.get((child, pos_q), 0) + guess.delay
+            if guess.own_advance:
+                key = (parent, pos_p - 1)
+                net[key] = net.get(key, 0) + guess.own_advance
     return make_svs(switches), _canonical_ops(net), cost
 
 

@@ -7,17 +7,17 @@ by scanning switch-path-trees and greedily realizing each one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
 from .switch_structures import (
-    Switch,
     SwitchPathTree,
     SwitchVertexSet,
     enumerate_spts,
     make_svs,
+    place_switches,
+    root_first,
     suffix_union,
     svs_reachability,
 )
@@ -45,28 +45,11 @@ def best_svs_for_spt(
     some tree edge admits no switch at all.
     """
     src = graph.source_path_id
-    anchor = {src: graph.paths[src].find(s)}
-    if anchor[src] is None:
+    start = graph.paths[src].find(s)
+    if start is None:
         return None
-    switches: list[Switch] = []
-    queue = deque([src])
-    while queue:
-        parent = queue.popleft()
-        parent_path = graph.paths[parent]
-        for child in spt.children_of(parent):
-            child_path = graph.paths[child]
-            chosen = None
-            for pos, v in enumerate(child_path.vertices[:-1]):
-                pf = parent_path.find(v)
-                if pf is not None and pf > anchor[parent]:
-                    chosen = (pos, v)
-                    break
-            if chosen is None:
-                return None
-            anchor[child] = chosen[0]
-            switches.append(Switch(chosen[1], parent, child))
-            queue.append(child)
-    return make_svs(switches)
+    placed = place_switches(graph, root_first(src, spt.children_of), start)
+    return None if placed is None else make_svs(sw for sw, _ in placed.values())
 
 
 def _spanning_then_partial(k: int, root: int) -> Iterator[SwitchPathTree]:
@@ -106,12 +89,8 @@ def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
     total = graph.total_edges()
     block = total + 1
     depth = {src: 0}
-    queue = deque([src])
-    while queue:
-        p = queue.popleft()
-        for c in spt.children_of(p):
-            depth[c] = depth[p] + 1
-            queue.append(c)
+    for p, kids in root_first(src, spt.children_of):
+        depth.update((c, depth[p] + 1) for c in kids)
     labels = []
     for p in graph.paths:
         m = p.edge_count()

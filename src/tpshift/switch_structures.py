@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph_core import (
     ParameterError,
@@ -113,17 +113,8 @@ def is_valid_svs(graph: TemporalKPathGraph, svs: SwitchVertexSet) -> bool:
             return False
         onto[sw.to_path] = sw
     src = graph.source_path_id
-    for sw in svs.switches:
-        if sw.from_path != src and sw.from_path not in onto:
-            return False  # transitions must chain back to the source path
-    for start in onto:
-        seen: set[int] = set()
-        cur = start
-        while cur != src:
-            if cur in seen or cur not in onto:
-                return False  # cycle, or a chain that never reaches the root
-            seen.add(cur)
-            cur = onto[cur].from_path
+    if not _all_reach_root({p: sw.from_path for p, sw in onto.items()}, src):
+        return False  # transitions must chain back to the source path
     source_pos = graph.paths[src].find(graph.source)
     if source_pos is None:
         return False
@@ -225,6 +216,94 @@ def _all_reach_root(mapping: dict[int, int], root: int) -> bool:
     return True
 
 
+def root_first(
+    root: int, children_of: Callable[[int], Sequence[int]]
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """(path, its children) for every path of a tree, breadth first from root."""
+    order = [root]
+    for parent in order:  # the loop reaches the children appended below
+        kids = children_of(parent)
+        order.extend(kids)
+        yield parent, kids
+
+
+def place_switches(
+    graph: TemporalKPathGraph,
+    order: Iterable[tuple[int, Sequence[int]]],
+    start: int,
+    fits: Callable[[int, int, int, int, int], bool] | None = None,
+) -> dict[int, tuple[Switch, int]] | None:
+    """Earliest workable switch on every tree edge, placed root first.
+
+    order is the tree as root_first yields it; start is the anchor on the
+    source path. A child takes the first vertex of its path, last excluded,
+    that lies after its parent's anchor and passes fits(parent, child,
+    parent anchor, pos on parent, pos on child); that becomes its anchor.
+    Returns child -> (switch onto it, pos on child), or None if one fails.
+    """
+    anchor = {graph.source_path_id: start}
+    placed: dict[int, tuple[Switch, int]] = {}
+    for parent, kids in order:
+        ppath = graph.paths[parent]
+        for child in kids:
+            for pos_c, v in enumerate(graph.paths[child].vertices[:-1]):
+                pos_p = ppath.find(v)
+                if (
+                    pos_p is not None
+                    and pos_p > anchor[parent]
+                    and (fits is None or fits(parent, child, anchor[parent], pos_p, pos_c))
+                ):
+                    break
+            else:
+                return None
+            anchor[child] = pos_c
+            placed[child] = (Switch(v, parent, child), pos_c)
+    return placed
+
+
+def enumerate_tree_svss(
+    graph: TemporalKPathGraph, spt: SwitchPathTree
+) -> Iterator[SwitchVertexSet]:
+    """Every valid switch-vertex-set whose transitions are spt's edges.
+
+    spt must be a tree under the source path. Its edges are filled in
+    sorted order from their candidates along the child path, so sets come
+    in the order of the candidates' Cartesian product; a choice that breaks
+    "off strictly after on" with a chosen neighbour is cut at once.
+    """
+    src, edges = graph.source_path_id, spt.parents
+    start = graph.paths[src].find(graph.source)
+    # where each chosen path is boarded; nothing leaves a source path without s
+    anchor = {src: len(graph.paths[src].vertices) if start is None else start}
+    per_edge = [
+        [
+            (Switch(v, parent, child), pf, pt)
+            for pt, v in enumerate(graph.paths[child].vertices[:-1])
+            if (pf := graph.paths[parent].find(v)) is not None and pf >= 1
+        ]
+        for child, parent in edges
+    ]
+    below = [[j for j in range(i) if edges[j][1] == c] for i, (c, _) in enumerate(edges)]
+    chosen: list[tuple[Switch, int, int]] = []
+
+    def extend(i: int) -> Iterator[SwitchVertexSet]:
+        if i == len(edges):
+            yield make_svs(sw for sw, _, _ in chosen)
+            return
+        child, parent = edges[i]
+        # leave the parent after boarding it; board the child before leaving it
+        hi = min((chosen[j][1] for j in below[i]), default=len(graph.paths[child].vertices))
+        for cand in per_edge[i]:
+            if cand[1] > anchor.get(parent, 0) and cand[2] < hi:
+                anchor[child] = cand[2]
+                chosen.append(cand)
+                yield from extend(i + 1)
+                chosen.pop()
+        anchor.pop(child, None)
+
+    yield from extend(0)
+
+
 def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     """Every valid switch-vertex-set of the graph, the empty one first.
 
@@ -233,22 +312,4 @@ def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     once because distinct trees yield distinct transition sets.
     """
     for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-        if not spt.parents:
-            yield EMPTY_SVS
-            continue
-        per_edge: list[list[Switch]] = []
-        for child, parent in spt.parents:
-            to_path = graph.paths[child]
-            from_path = graph.paths[parent]
-            candidates = [
-                Switch(v, parent, child)
-                for v in to_path.vertices[:-1]
-                if (pf := from_path.find(v)) is not None and pf >= 1
-            ]
-            per_edge.append(candidates)
-        if any(not c for c in per_edge):
-            continue
-        for combo in product(*per_edge):
-            svs = make_svs(combo)
-            if is_valid_svs(graph, svs):
-                yield svs
+        yield from enumerate_tree_svss(graph, spt)

@@ -17,7 +17,14 @@ from tpshift.graph_core import (
     apply_sequence,
 )
 from tpshift.ilp_mini import IlpInstance
-from tpshift.switch_structures import SwitchVertexSet
+from tpshift.switch_structures import (
+    EMPTY_SVS,
+    Switch,
+    SwitchVertexSet,
+    enumerate_spts,
+    is_valid_svs,
+    make_svs,
+)
 
 
 def brute_reach(graph: TemporalKPathGraph, s: Vertex) -> set[Vertex]:
@@ -154,3 +161,28 @@ def cartesian_ilp_min(instance: IlpInstance) -> tuple[int, dict[str, int]] | Non
     if best is None:
         return None
     return best[0], dict(zip(names, best[1]))
+
+
+def enumerate_svss_by_filtering(graph: TemporalKPathGraph):
+    """Valid switch-vertex-sets in the reference stream order.
+
+    Trees come in enumerate_spts order; within a tree, the Cartesian
+    product of each edge's candidate switches (edges in sorted order,
+    candidates along the child path) is filtered through is_valid_svs.
+    """
+    for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
+        if not spt.parents:
+            yield EMPTY_SVS
+            continue
+        per_edge = [
+            [
+                Switch(v, parent, child)
+                for v in graph.paths[child].vertices[:-1]
+                if (pf := graph.paths[parent].find(v)) is not None and pf >= 1
+            ]
+            for child, parent in spt.parents
+        ]
+        for combo in product(*per_edge):
+            svs = make_svs(combo)
+            if is_valid_svs(graph, svs):
+                yield svs

@@ -151,6 +151,19 @@ class TestSolve:
         )
         assert rc == 4
 
+    def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
+        # tree 1:0 has two switch sets (at a and at b); the empty set of the
+        # root-only tree is not counted against the limit
+        f = tmp_path / "two.kpg"
+        f.write_text(
+            "kpathgraph v1\nk 2\nsource s\n"
+            "path 0 : s -1-> a -2-> b -3-> c\n"
+            "path 1 : x -0-> a -1-> b -2-> y\n"
+        )
+        args = ["solve", str(f), "--algo", "fixed-spt", "--spt", "1:0", "--budget", "1"]
+        assert main([*args, "--limit-states", "1"]) == 4
+        assert main([*args, "--limit-states", "2"]) == 0
+
     def test_state_limit_env(self, tmp_path, capsys, i1_file, monkeypatch):
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "5")
         assert main(["solve", str(i1_file), "--algo", "xp-b", "--budget", "2"]) == 4
@@ -245,6 +258,25 @@ class TestVerify:
         sol.write_text(json.dumps({"format": DOC_FORMAT, "algo": "xp-b"}))
         assert main(["verify", str(i1_file), str(sol)]) == 2
         rc, _ = self.tampered(tmp_path, capsys, i1_file, mode="sideways")
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"budget": "3"},
+            {"reached": 5},
+            {"reached": ["a", 5]},
+            {"cost": "1"},
+            {"cost": True},
+            {"budget": 1.0},
+            {"instance_sha256": 7},
+            {"algo": None},
+            {"mode": ["delay"]},
+        ],
+    )
+    def test_mistyped_fields_are_parse_errors(self, tmp_path, capsys, i1_file, changes):
+        # a wrong type is a parse problem (2), not a failed check (1) or a crash
+        rc, _ = self.tampered(tmp_path, capsys, i1_file, **changes)
         assert rc == 2
 
 

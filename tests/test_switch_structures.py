@@ -7,7 +7,7 @@ from itertools import chain, combinations
 import pytest
 
 from conftest import graph_of, path
-from oracles import svs_respecting_reach
+from oracles import enumerate_svss_by_filtering, svs_respecting_reach
 from tpshift.graph_core import ParameterError, ShiftOperation, ValidityError, apply_shift, reach_set
 from tpshift.instances import gen_random
 from tpshift.switch_structures import (
@@ -295,6 +295,13 @@ class TestEnumerateSvss:
         got = list(enumerate_svss(g))
         assert len(got) == len(set(got)), "duplicate switch sets in the stream"
         assert set(got) == _brute_svss(g)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stream_order_matches_the_filtered_product(self, seed):
+        # order decides which of two equal candidates a solver keeps
+        k = 3 + seed % 3
+        g = gen_random(k, 5 if k < 5 else 4, 12, 0.6 + 0.1 * (seed % 3), seed=1300 + seed)
+        assert list(enumerate_svss(g)) == list(enumerate_svss_by_filtering(g))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_yielded_set_is_valid(self, seed):
