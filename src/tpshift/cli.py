@@ -70,13 +70,22 @@ EXIT_LIMIT = 4
 ALGOS = ("unbounded", "xp-b", "xp-k", "fpt-delay", "fpt-general", "fixed-spt")
 
 
-def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
-    data = Path(path).read_bytes()
-    graph = parse_instance(data.decode())
+def _parse_valid(data: bytes) -> TemporalKPathGraph:
+    """The instance in data, parsed and validated."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"instance is not UTF-8 text: {exc}") from None
+    graph = parse_instance(text)
     problems = validate(graph)
     if problems:
         raise InvalidInstanceError("; ".join(problems))
-    return graph, hashlib.sha256(data).hexdigest()
+    return graph
+
+
+def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
+    data = Path(path).read_bytes()
+    return _parse_valid(data), hashlib.sha256(data).hexdigest()
 
 
 def _state_limit(args: argparse.Namespace) -> int | None:
@@ -246,14 +255,20 @@ def _is_str(value: Any) -> bool:
     return isinstance(value, str)
 
 
-_DOC_FIELD_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "instance_sha256": ("a string", _is_str),
-    "algo": ("a string", _is_str),
-    "mode": ("a string", _is_str),
+_FieldTypes = dict[str, tuple[str, Callable[[Any], bool]]]
+
+_INT = ("an integer", _is_int)
+_STR = ("a string", _is_str)
+_DOC_FIELD_TYPES: _FieldTypes = {
+    "instance_sha256": _STR,
+    "algo": _STR,
+    "mode": _STR,
     "budget": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "cost": ("an integer", _is_int),
+    "cost": _INT,
     "reached": ("a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v))),
 }
+_OP_FIELD_TYPES: _FieldTypes = {"path": _INT, "edge_index": _INT, "delta": _INT}
+_SWITCH_FIELD_TYPES: _FieldTypes = {"vertex": _STR, "from_path": _INT, "to_path": _INT}
 
 
 def _doc_field(doc: dict[str, Any], key: str) -> Any:
@@ -262,11 +277,23 @@ def _doc_field(doc: dict[str, Any], key: str) -> Any:
     return doc[key]
 
 
+def _doc_entries(doc: dict[str, Any], key: str, fields: _FieldTypes) -> list[list[Any]]:
+    """The field values, in fields order, of each object in the list doc[key]."""
+    entries = doc[key]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"solution document field {key!r} must be a list of objects")
+    for entry in entries:
+        for name, (kind, has_type) in fields.items():
+            if not has_type(entry.get(name)):
+                raise ParseError(f"each entry of {key!r} needs {name!r} as {kind}")
+    return [[entry[name] for name in fields] for entry in entries]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     data = Path(args.instance).read_bytes()
     try:
         doc = json.loads(Path(args.solution).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not text
         raise ParseError(f"solution document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != DOC_FORMAT:
         raise ParseError(f"solution document must declare format {DOC_FORMAT!r}")
@@ -275,19 +302,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for key, (kind, has_type) in _DOC_FIELD_TYPES.items():
         if not has_type(doc[key]):
             raise ParseError(f"solution document field {key!r} must be {kind}")
-    try:
-        ops = tuple(
-            ShiftOperation(int(o["path"]), int(o["edge_index"]), int(o["delta"]))
-            for o in doc["ops"]
+    ops = tuple(ShiftOperation(*op) for op in _doc_entries(doc, "ops", _OP_FIELD_TYPES))
+    witness = None
+    if doc.get("witness_svs") is not None:
+        witness = make_svs(
+            Switch(*sw) for sw in _doc_entries(doc, "witness_svs", _SWITCH_FIELD_TYPES)
         )
-        witness = None
-        if doc.get("witness_svs") is not None:
-            witness = make_svs(
-                Switch(str(w["vertex"]), int(w["from_path"]), int(w["to_path"]))
-                for w in doc["witness_svs"]
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ops or witness: {exc}") from None
 
     failures = 0
 
@@ -319,10 +339,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParseError(f"unknown mode {doc['mode']!r}") from None
     report("mode-respected", all(mode.allows(op.delta) for op in ops))
 
-    graph = parse_instance(data.decode())
-    problems = validate(graph)
-    if problems:
-        raise InvalidInstanceError("; ".join(problems))
+    graph = _parse_valid(data)
     g = normalize_source(graph, graph.source, budget if budget is not None else 0)
     try:
         replayed, _ = apply_sequence(g, ops)

@@ -1,10 +1,14 @@
 """Exact minimization of tiny bounded integer programs.
 
-Depth-first branch and bound over variable domains with bounds propagation
-and an objective cut, followed by a lexicographic tightening pass so the
-returned optimal assignment is the lexicographically smallest one in
-declaration order. Built for a handful of variables with small domains; no
-floating point anywhere.
+One depth-first search over boxes of variable bounds, with bounds
+propagation and an objective cut. It always splits the first unfixed
+variable in declaration order at the middle of its domain and explores the
+lower half first, so leaves come in lexicographic order: the first leaf
+that attains the optimum is the lexicographically smallest optimal
+assignment, and a box whose objective floor cannot beat the best leaf so far
+is cut. Halving makes the search depth grow with the log of the domain
+widths, not with the widths. Built for a handful of variables; no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -90,27 +94,11 @@ def solve_min(instance: IlpInstance) -> tuple[int, dict[str, int]] | None:
             raise ValueError(f"objective references unknown variable {name!r}")
     obj = tuple((index[name], c) for name, c in instance.objective)
 
-    best = _branch_and_bound(n, lo0, hi0, rows, obj)
+    best = _lex_search(n, lo0, hi0, rows, obj)
     if best is None:
         return None
-    value = best
-    # Lexicographic tightening: pin the objective, then fix each variable in
-    # declaration order to its smallest feasible value.
-    pin_rows = rows + [(obj, value), (tuple((j, -c) for j, c in obj), -value)]
-    lo = list(lo0)
-    hi = list(hi0)
-    for j in range(n):
-        for v in range(lo[j], hi[j] + 1):
-            lo_try = lo.copy()
-            hi_try = hi.copy()
-            lo_try[j] = hi_try[j] = v
-            if _satisfiable(n, lo_try, hi_try, pin_rows):
-                lo[j] = hi[j] = v
-                break
-        else:  # pragma: no cover - value is feasible, so some v must fit
-            raise AssertionError("lexicographic pass lost feasibility")
-    assignment = {var.name: lo[i] for i, var in enumerate(instance.variables)}
-    return value, assignment
+    value, point = best
+    return value, {var.name: point[i] for i, var in enumerate(instance.variables)}
 
 
 def _propagate(
@@ -156,50 +144,24 @@ def _objective_floor(lo: list[int], hi: list[int], obj) -> int:
     return total
 
 
-def _branch_and_bound(n, lo0, hi0, rows, obj) -> int | None:
-    best: int | None = None
-
-    def dfs(lo: list[int], hi: list[int]) -> None:
-        nonlocal best
+def _lex_search(n, lo0, hi0, rows, obj) -> tuple[int, list[int]] | None:
+    """(optimum, lex-smallest optimal point), or None if infeasible."""
+    best: tuple[int, list[int]] | None = None
+    stack = [(lo0, hi0)]  # a list, not recursion: depth is n * log2(width)
+    while stack:
+        lo, hi = stack.pop()
         if not _propagate(n, lo, hi, rows):
-            return
-        if best is not None and _objective_floor(lo, hi, obj) >= best:
-            return
-        pick = -1
-        width = None
-        for j in range(n):
-            w = hi[j] - lo[j]
-            if w > 0 and (width is None or w < width):
-                pick = j
-                width = w
-        if pick == -1:
-            value = sum(c * lo[j] for j, c in obj)
-            if best is None or value < best:
-                best = value
-            return
-        for v in range(lo[pick], hi[pick] + 1):
-            nlo = lo.copy()
-            nhi = hi.copy()
-            nlo[pick] = nhi[pick] = v
-            dfs(nlo, nhi)
-
-    dfs(list(lo0), list(hi0))
+            continue
+        floor = _objective_floor(lo, hi, obj)
+        if best is not None and floor >= best[0]:
+            continue  # every later leaf is lex-larger, so only a strict gain counts
+        j = next((j for j in range(n) if lo[j] < hi[j]), None)
+        if j is None:
+            best = (floor, lo)
+            continue
+        mid = (lo[j] + hi[j]) // 2
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[j], lower_hi[j] = mid + 1, mid
+        stack.append((upper_lo, hi))
+        stack.append((lo, lower_hi))  # popped first: the lower half
     return best
-
-
-def _satisfiable(n, lo0, hi0, rows) -> bool:
-    def dfs(lo: list[int], hi: list[int]) -> bool:
-        if not _propagate(n, lo, hi, rows):
-            return False
-        for j in range(n):
-            if lo[j] < hi[j]:
-                for v in range(lo[j], hi[j] + 1):
-                    nlo = lo.copy()
-                    nhi = hi.copy()
-                    nlo[j] = nhi[j] = v
-                    if dfs(nlo, nhi):
-                        return True
-                return False
-        return True
-
-    return dfs(list(lo0), list(hi0))

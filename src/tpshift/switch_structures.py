@@ -273,8 +273,9 @@ def enumerate_tree_svss(
     """
     src, edges = graph.source_path_id, spt.parents
     start = graph.paths[src].find(graph.source)
-    # where each chosen path is boarded; nothing leaves a source path without s
-    anchor = {src: len(graph.paths[src].vertices) if start is None else start}
+    if start is None:
+        return  # with s off its path not even the empty set is valid
+    anchor = {src: start}  # where each chosen path is boarded
     per_edge = [
         [
             (Switch(v, parent, child), pf, pt)

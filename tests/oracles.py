@@ -18,7 +18,6 @@ from tpshift.graph_core import (
 )
 from tpshift.ilp_mini import IlpInstance
 from tpshift.switch_structures import (
-    EMPTY_SVS,
     Switch,
     SwitchVertexSet,
     enumerate_spts,
@@ -171,9 +170,6 @@ def enumerate_svss_by_filtering(graph: TemporalKPathGraph):
     candidates along the child path) is filtered through is_valid_svs.
     """
     for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-        if not spt.parents:
-            yield EMPTY_SVS
-            continue
         per_edge = [
             [
                 Switch(v, parent, child)

@@ -83,6 +83,15 @@ def test_03_unbounded_relabeling_matches_saturated_budget():
         assert len(temp.reached) == len(ref.reached), (seed, budget)
 
 
+@pytest.mark.parametrize("mode", [Mode.SHIFT, Mode.DELAY])
+def test_xp_k_at_a_huge_budget_reaches_what_relabeling_reaches(mode):
+    # pricing halves integer domains, so b = 10**6 costs ~20 levels, not 10**6 values
+    for seed in range(10):
+        g = gen_random(2, 3, 3, 0.5 + 0.04 * seed, seed)
+        sol = solve_xp_by_k(g, "s", 10**6, mode)
+        assert sol.reached == solve_mrpt(g.paths, "s").reached, seed
+
+
 def test_04_shift_semantics_hold_on_random_sequences():
     rng = random.Random(424242)
     for _ in range(10_000):

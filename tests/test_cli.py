@@ -253,6 +253,8 @@ class TestVerify:
         sol = tmp_path / "sol.json"
         sol.write_text("{ not json")
         assert main(["verify", str(i1_file), str(sol)]) == 2
+        sol.write_bytes(b'{"format": "\xff"}')
+        assert main(["verify", str(i1_file), str(sol)]) == 2
         sol.write_text(json.dumps({"format": "something else"}))
         assert main(["verify", str(i1_file), str(sol)]) == 2
         sol.write_text(json.dumps({"format": DOC_FORMAT, "algo": "xp-b"}))
@@ -272,12 +274,23 @@ class TestVerify:
             {"instance_sha256": 7},
             {"algo": None},
             {"mode": ["delay"]},
+            # op and witness fields: truncating 0.9 to 0 would let a document pass
+            {"ops": [{"path": 1, "edge_index": 0.9, "delta": 1.7}]},
+            {"ops": [{"path": True, "edge_index": 1, "delta": 1}]},
+            {"ops": [{"path": 1, "edge_index": 1, "delta": "1"}]},
+            {"ops": [{"path": 1, "edge_index": 1}]},
+            {"ops": [[1, 1, 1]]},
+            {"ops": {"path": 1, "edge_index": 1, "delta": 1}},
+            {"witness_svs": [{"vertex": 5, "from_path": 0, "to_path": 1}]},
+            {"witness_svs": [{"vertex": "a", "from_path": 0.0, "to_path": 1}]},
+            {"witness_svs": [{"vertex": "a", "from_path": 0}]},
+            {"witness_svs": "a:0->1"},
         ],
     )
     def test_mistyped_fields_are_parse_errors(self, tmp_path, capsys, i1_file, changes):
         # a wrong type is a parse problem (2), not a failed check (1) or a crash
-        rc, _ = self.tampered(tmp_path, capsys, i1_file, **changes)
-        assert rc == 2
+        rc, out = self.tampered(tmp_path, capsys, i1_file, **changes)
+        assert rc == 2 and "PASS" not in out
 
 
 class TestGen:
@@ -349,6 +362,21 @@ class TestEnum:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["solve", "verify", "enum"])
+    def test_non_utf8_instance_is_a_parse_error(self, tmp_path, capsys, i1_file, command):
+        bad = tmp_path / "bad.kpg"
+        bad.write_bytes(I1_TEXT.encode() + b"\xff\n")
+        sol = tmp_path / "sol.json"
+        assert main(["solve", str(i1_file), "--algo", "xp-k", "--output", str(sol)]) == 0
+        argv = {
+            "solve": ["solve", str(bad), "--algo", "xp-k"],
+            "verify": ["verify", str(bad), str(sol)],
+            "enum": ["enum", "svs", str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

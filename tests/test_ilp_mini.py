@@ -87,6 +87,15 @@ class TestFrozenCases:
         )
         assert solve_min(inst) == (0, {"x": 1, "y": 3})
 
+    def test_lex_smallest_tie_across_a_wide_and_a_narrow_domain(self):
+        # splitting the narrow y first would find the tied, lex-larger y = 0 first
+        inst = _inst(
+            [IntVar("x", -7, 30), IntVar("y", 0, 3)],
+            [ge([("x", 1), ("y", 1)], 5)],
+            [],
+        )
+        assert solve_min(inst) == (0, {"x": 2, "y": 3})
+
     def test_negative_coefficient_propagation(self):
         # -2x <= -6 forces x >= 3
         inst = _inst([IntVar("x", 0, 10)], [le([("x", -2)], -6)], [("x", 1)])
@@ -137,4 +146,25 @@ def test_agrees_with_grid_scan(case):
         constraints.append(con)
     objective = [(n, rng.randint(-3, 3)) for n in names]
     inst = _inst(variables, constraints, objective)
+    assert solve_min(inst) == cartesian_ilp_min(inst)
+
+
+@pytest.mark.parametrize("case", range(80))
+def test_agrees_with_grid_scan_on_wide_negative_domains(case):
+    # widths up to 30 from negative lower bounds put halving midpoints on
+    # odd and negative values; ties still need the lex-smallest optimum
+    rng = random.Random(31000 + case)
+    nvars = rng.randint(1, 3)
+    variables = []
+    for i in range(nvars):
+        lo = rng.randint(-20, 5)
+        variables.append(IntVar(f"v{i}", lo, lo + rng.randint(0, 30)))
+    names = [v.name for v in variables]
+    constraints = []
+    for _ in range(rng.randint(0, 3)):
+        support = rng.sample(names, rng.randint(1, nvars))
+        pairs = [(n, rng.choice([-3, -2, -1, 1, 2, 3])) for n in support]
+        sense = rng.choices(["<=", ">=", "=="], weights=[2, 2, 1])[0]
+        constraints.append({"<=": le, ">=": ge, "==": eq}[sense](pairs, rng.randint(-40, 40)))
+    inst = _inst(variables, constraints, [(n, rng.randint(-3, 3)) for n in names])
     assert solve_min(inst) == cartesian_ilp_min(inst)

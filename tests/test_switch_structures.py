@@ -303,8 +303,11 @@ class TestEnumerateSvss:
         g = gen_random(k, 5 if k < 5 else 4, 12, 0.6 + 0.1 * (seed % 3), seed=1300 + seed)
         assert list(enumerate_svss(g)) == list(enumerate_svss_by_filtering(g))
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), pytest.param(None, id="source-off-path")])
     def test_every_yielded_set_is_valid(self, seed):
-        g = gen_random(3, 3, 9, 0.7, seed=900 + seed)
+        if seed is None:  # not even the empty set is valid here
+            g = graph_of(path(0, "a b c", [1, 2]), path(1, "b d", [3]))
+        else:
+            g = gen_random(3, 3, 9, 0.7, seed=900 + seed)
         for svs in enumerate_svss(g):
             assert is_valid_svs(g, svs)
