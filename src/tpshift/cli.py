@@ -70,13 +70,16 @@ EXIT_LIMIT = 4
 ALGOS = ("unbounded", "xp-b", "xp-k", "fpt-delay", "fpt-general", "fixed-spt")
 
 
+def _decode(data: bytes, what: str) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
+
+
 def _parse_valid(data: bytes) -> TemporalKPathGraph:
     """The instance in data, parsed and validated."""
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"instance is not UTF-8 text: {exc}") from None
-    graph = parse_instance(text)
+    graph = parse_instance(_decode(data, "instance"))
     problems = validate(graph)
     if problems:
         raise InvalidInstanceError("; ".join(problems))
@@ -291,6 +294,7 @@ def _doc_entries(doc: dict[str, Any], key: str, fields: _FieldTypes) -> list[lis
 
 def cmd_verify(args: argparse.Namespace) -> int:
     data = Path(args.instance).read_bytes()
+    graph = _parse_valid(data)
     try:
         doc = json.loads(Path(args.solution).read_text())
     except ValueError as exc:  # bad JSON, or bytes that are not text
@@ -302,6 +306,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for key, (kind, has_type) in _DOC_FIELD_TYPES.items():
         if not has_type(doc[key]):
             raise ParseError(f"solution document field {key!r} must be {kind}")
+    try:
+        mode = Mode(doc["mode"])
+    except ValueError:
+        raise ParseError(f"unknown mode {doc['mode']!r}") from None
     ops = tuple(ShiftOperation(*op) for op in _doc_entries(doc, "ops", _OP_FIELD_TYPES))
     witness = None
     if doc.get("witness_svs") is not None:
@@ -333,13 +341,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         budget is None or cost <= budget,
         f"cost {cost} exceeds budget {budget}",
     )
-    try:
-        mode = Mode(doc["mode"])
-    except ValueError:
-        raise ParseError(f"unknown mode {doc['mode']!r}") from None
     report("mode-respected", all(mode.allows(op.delta) for op in ops))
 
-    graph = _parse_valid(data)
     g = normalize_source(graph, graph.source, budget if budget is not None else 0)
     try:
         replayed, _ = apply_sequence(g, ops)
@@ -390,7 +393,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_mcis(args: argparse.Namespace) -> int:
-    mcis = parse_mcis(Path(args.mcis_file).read_text())
+    mcis = parse_mcis(_decode(Path(args.mcis_file).read_bytes(), "MCIS file"))
     gadget = gen_mcis_delay_gadget(mcis, args.omega)
     text = write_instance(gadget.graph)
     if args.output:

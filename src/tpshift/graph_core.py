@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 Vertex = str
 
@@ -165,19 +166,25 @@ def apply_shift(graph: TemporalKPathGraph, op: ShiftOperation) -> TemporalKPathG
     sign is a no-op because labels are at least one apart.
     """
     path = graph.path(op.path_id)
-    m = path.edge_count()
-    if not 0 <= op.edge_index < m:
+    if not 0 <= op.edge_index < path.edge_count():
         raise AddressingError(f"path {op.path_id} has no edge {op.edge_index}")
-    base = path.labels[op.edge_index] + op.delta
-    labels = list(path.labels)
-    labels[op.edge_index] = base
-    for j in range(op.edge_index + 1, m):
-        labels[j] = max(labels[j], base + (j - op.edge_index))
-    for j in range(op.edge_index - 1, -1, -1):
-        labels[j] = min(labels[j], base - (op.edge_index - j))
     paths = list(graph.paths)
-    paths[op.path_id] = replace(path, labels=tuple(labels))
+    paths[op.path_id] = replace(
+        path, labels=shift_labels(path.labels, op.edge_index, op.delta)
+    )
     return replace(graph, paths=tuple(paths))
+
+
+def shift_labels(labels: tuple[int, ...], edge_index: int, delta: int) -> tuple[int, ...]:
+    """One path's labels after apply_shift's shift-and-propagate rule."""
+    base = labels[edge_index] + delta
+    out = list(labels)
+    out[edge_index] = base
+    for j in range(edge_index + 1, len(out)):
+        out[j] = max(out[j], base + (j - edge_index))
+    for j in range(edge_index - 1, -1, -1):
+        out[j] = min(out[j], base - (edge_index - j))
+    return tuple(out)
 
 
 def apply_sequence(
@@ -221,10 +228,17 @@ def reach_set(graph: TemporalKPathGraph, source: Vertex) -> set[Vertex]:
     """All vertices reachable from source along strictly increasing labels."""
     if all(p.find(source) is None for p in graph.paths):
         raise AddressingError(f"unknown source {source!r}")
+    return reach_with_labels(graph.paths, [p.labels for p in graph.paths], source)
+
+
+def reach_with_labels(
+    paths: Sequence[BasePath], labels: Sequence[Sequence[int]], source: Vertex
+) -> set[Vertex]:
+    """reach_set with labels[i] in place of paths[i].labels; source is not checked."""
     edges = [
-        (p.labels[i], p.vertices[i], p.vertices[i + 1])
-        for p in graph.paths
-        for i in range(p.edge_count())
+        (t, p.vertices[i], p.vertices[i + 1])
+        for p, path_labels in zip(paths, labels)
+        for i, t in enumerate(path_labels)
     ]
     edges.sort(key=lambda e: e[0])
     # Single ascending pass is safe: same-label edges cannot chain, and later

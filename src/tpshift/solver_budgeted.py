@@ -4,7 +4,7 @@ Every solver here spends at most b cost units on delay (+) or advance (-)
 shifts, with propagation along each path free of charge, and reports how
 much of the graph the source can then reach.
 
-solve_xp_by_b       exhaustive reference: tries every op multiset of size b
+solve_xp_by_b       exhaustive reference: scores every net shift vector of cost <= b
 solve_xp_by_k       enumerates switch-vertex-sets, prices each exactly
 solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph_core import (
+    AddressingError,
     InvalidInstanceError,
     Mode,
     ParameterError,
@@ -31,6 +32,8 @@ from .graph_core import (
     edge_gap,
     is_normalized,
     reach_set,
+    reach_with_labels,
+    shift_labels,
 )
 from .ilp_mini import IlpInstance, IntVar, ge, le, solve_min, terms
 from .switch_structures import (
@@ -92,6 +95,61 @@ def _canonical_ops(net: dict[tuple[int, int], int]) -> tuple[ShiftOperation, ...
     )
 
 
+def net_vector_count(edges: int, b: int, mode: Mode) -> int:
+    """How many net shift vectors of cost <= b over `edges` edges the mode allows.
+
+    A vector with i nonzero entries picks their edges, splits a cost of at
+    most b among them, and in shift mode a sign for each; one-signed modes
+    count the nonnegative vectors of sum <= b.
+    """
+    if mode is Mode.SHIFT:
+        return sum(
+            math.comb(edges, i) * math.comb(b, i) << i for i in range(min(edges, b) + 1)
+        )
+    return math.comb(edges + b, b)
+
+
+def _net_vectors(edges: int, b: int, mode: Mode) -> Iterator[tuple[int, ...]]:
+    """Every net shift vector of cost <= b, by cost, then by unit multiset order.
+
+    Within one cost r an edge's entry runs through +a, then -a, for a = r..1
+    (each sign only if the mode allows it), then 0: the sorted unit tuples of
+    size r in lex order, keeping only those that never hold both signs of
+    one edge.
+    """
+    signs = tuple(sign for sign in (1, -1) if mode.allows(sign))
+    last = edges - 1  # a valid graph has at least one edge
+
+    def fill(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        if i == last:  # the last edge takes what is left
+            if left:
+                for sign in signs:
+                    yield (sign * left,)
+            else:
+                yield (0,)
+            return
+        for sign in signs:
+            for a in range(left, 0, -1):
+                for rest in fill(i + 1, left - a):
+                    yield (sign * a, *rest)
+        for rest in fill(i + 1, left):
+            yield (0, *rest)
+
+    for r in range(b + 1):
+        yield from fill(0, r)
+
+
+def _replayed_labels(labels: tuple[int, ...], deltas: tuple[int, ...]) -> tuple[int, ...]:
+    """One path's labels after its share of _canonical_ops."""
+    for e, d in enumerate(deltas):
+        if d > 0:
+            labels = shift_labels(labels, e, d)
+    for e in range(len(deltas) - 1, -1, -1):
+        if deltas[e] < 0:
+            labels = shift_labels(labels, e, deltas[e])
+    return labels
+
+
 def solve_xp_by_b(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -101,44 +159,52 @@ def solve_xp_by_b(
 ) -> BudgetedSolution:
     """Exhaustive optimum over all ways to spend the budget one unit at a time.
 
-    Each budget unit buys one +1 or -1 on one edge (or is skipped); the unit
-    choices form a multiset, applied merged and in canonical order. Slow by
-    design; the other solvers are measured against it.
+    Each budget unit buys one +1 or -1 on one edge (or is skipped), and the
+    units are applied merged per edge in canonical order, so a plan's result
+    depends only on its net shift vector. Each vector is scored once: by
+    cost r = 0..b, and within one r in the lex order of its sorted unit
+    tuple. That is the order in which the vectors first appear in the stream
+    of unit multisets of size b (skips first, units in path, edge, +1, -1
+    order): a multiset with u units comes after all with fewer, and its net
+    vector first appears as the one multiset with u = cost and no unit
+    cancelling another. Ties (equal reach and cost) therefore go to the same
+    vector as in that stream: the first seen. limit_states caps the number
+    of vectors, net_vector_count. Slow by design; the other solvers are
+    measured against it.
     """
     _check_budget(b)
-    units: list[tuple[int, int, int] | None] = [None]
-    for path in graph.paths:
-        for e in range(path.edge_count()):
-            if mode is not Mode.ADVANCE:
-                units.append((path.path_id, e, 1))
-            if mode is not Mode.DELAY:
-                units.append((path.path_id, e, -1))
-    total = math.comb(len(units) + b - 1, b)
+    if all(path.find(s) is None for path in graph.paths):
+        raise AddressingError(f"unknown source {s!r}")
+    edges = [(path.path_id, e) for path in graph.paths for e in range(path.edge_count())]
+    total = net_vector_count(len(edges), b, mode)
     if total > limit_states:
         raise ResourceLimitError(
-            f"{total} op multisets to scan, above the limit of {limit_states}"
+            f"{total} net shift vectors to scan, above the limit of {limit_states}"
         )
+    # per path: its labels, its slice of the vector, and the labels replayed
+    # so far by sub-vector (a path's labels depend only on its own entries)
+    spans: list[tuple[tuple[int, ...], int, int, dict]] = []
+    start = 0
+    for path in graph.paths:
+        spans.append((path.labels, start, start + path.edge_count(), {}))
+        start += path.edge_count()
     best: tuple[int, int] | None = None
-    best_ops: tuple[ShiftOperation, ...] = ()
-    best_reached: frozenset[Vertex] = frozenset()
-    for combo in itertools.combinations_with_replacement(units, b):
-        net: dict[tuple[int, int], int] = {}
-        for unit in combo:
-            if unit is None:
-                continue
-            key = (unit[0], unit[1])
-            net[key] = net.get(key, 0) + unit[2]
-        ops = _canonical_ops(net)
-        cost = sum(abs(d) for d in net.values())
-        shifted, _ = apply_sequence(graph, ops)
-        reached = reach_set(shifted, s)
-        score = (len(reached), -cost)
+    best_vector: tuple[int, ...] = ()
+    for vector in _net_vectors(len(edges), b, mode):
+        labels = []
+        for base, lo, hi, memo in spans:
+            deltas = vector[lo:hi]
+            got = memo.get(deltas)
+            if got is None:
+                got = memo[deltas] = _replayed_labels(base, deltas)
+            labels.append(got)
+        score = (len(reach_with_labels(graph.paths, labels, s)), -sum(map(abs, vector)))
         if best is None or score > best:
-            best = score
-            best_ops = ops
-            best_reached = frozenset(reached)
-    assert best is not None  # the all-skip multiset always exists
-    return BudgetedSolution(best_ops, -best[1], best_reached, None)
+            best, best_vector = score, vector
+    assert best is not None  # the zero vector always exists
+    ops = _canonical_ops({key: d for key, d in zip(edges, best_vector) if d})
+    shifted, cost = apply_sequence(graph, ops)
+    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), None)
 
 
 def min_cost_for_svs(

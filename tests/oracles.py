@@ -7,7 +7,7 @@ values frozen into tests were produced by these functions.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from tpshift.graph_core import (
     Mode,
@@ -15,8 +15,10 @@ from tpshift.graph_core import (
     TemporalKPathGraph,
     Vertex,
     apply_sequence,
+    reach_set,
 )
 from tpshift.ilp_mini import IlpInstance
+from tpshift.solver_budgeted import BudgetedSolution, _canonical_ops
 from tpshift.switch_structures import (
     Switch,
     SwitchVertexSet,
@@ -118,6 +120,45 @@ def best_by_unit_sequences(
         if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
             best = cand
     return best
+
+
+def best_by_multisets(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+) -> BudgetedSolution:
+    """xp-b as one scan over every multiset of b unit choices (skips included).
+
+    Each multiset is merged per edge, replayed in canonical order and scored
+    by (reach, -cost); the first best multiset wins. solve_xp_by_b must
+    return exactly this solution while scoring each net vector only once.
+    """
+    units: list[tuple[int, int, int] | None] = [None]
+    for path in graph.paths:
+        for e in range(path.edge_count()):
+            if mode is not Mode.ADVANCE:
+                units.append((path.path_id, e, 1))
+            if mode is not Mode.DELAY:
+                units.append((path.path_id, e, -1))
+    best: tuple[int, int] | None = None
+    best_ops: tuple[ShiftOperation, ...] = ()
+    best_reached: frozenset[Vertex] = frozenset()
+    for combo in combinations_with_replacement(units, b):
+        net: dict[tuple[int, int], int] = {}
+        for unit in combo:
+            if unit is None:
+                continue
+            key = (unit[0], unit[1])
+            net[key] = net.get(key, 0) + unit[2]
+        ops = _canonical_ops(net)
+        cost = sum(abs(d) for d in net.values())
+        shifted, _ = apply_sequence(graph, ops)
+        reached = reach_set(shifted, s)
+        score = (len(reached), -cost)
+        if best is None or score > best:
+            best = score
+            best_ops = ops
+            best_reached = frozenset(reached)
+    assert best is not None  # the all-skip multiset always exists
+    return BudgetedSolution(best_ops, -best[1], best_reached, None)
 
 
 def min_cost_for_svs_brute(

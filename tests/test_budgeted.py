@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from conftest import MODES, graph_of, path
-from oracles import best_by_unit_sequences, min_cost_for_svs_brute
+from oracles import best_by_multisets, best_by_unit_sequences, min_cost_for_svs_brute
 from tpshift.graph_core import (
+    AddressingError,
     InvalidInstanceError,
     Mode,
     ParameterError,
@@ -14,13 +18,17 @@ from tpshift.graph_core import (
     ShiftOperation,
     ValidityError,
     apply_sequence,
+    normalize_source,
     reach_set,
 )
 from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
     _canonical_ops,
+    _net_vectors,
+    _replayed_labels,
     _switch_slots,
     min_cost_for_svs,
+    net_vector_count,
     solve_fixed_spt,
     solve_fpt_delay,
     solve_fpt_general,
@@ -94,6 +102,11 @@ class TestXpByB:
         with pytest.raises(ParameterError):
             solve_xp_by_b(i1, "s", -1, Mode.DELAY)
 
+    def test_unknown_source_fails_before_the_scan(self, i1):
+        # the scan never checks the source; a huge budget shows none was made
+        with pytest.raises(AddressingError):
+            solve_xp_by_b(i1, "nope", 10**6, Mode.SHIFT, limit_states=10**100)
+
     def test_zero_budget_is_the_baseline(self, i1):
         sol = solve_xp_by_b(i1, "s", 0, Mode.SHIFT)
         assert sol.ops == () and sol.cost == 0
@@ -125,6 +138,40 @@ class TestXpByB:
         with pytest.raises(ResourceLimitError):
             solve_xp_by_b(i1, "s", 2, Mode.SHIFT, limit_states=10)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_vectors_come_in_the_multiset_streams_first_seen_order(self, mode):
+        # units as solve_xp_by_b documents them: skip first, then +1 before -1
+        for edges in range(1, 6):
+            units = [None] + [
+                (e, sign) for e in range(edges) for sign in (1, -1) if mode.allows(sign)
+            ]
+            for b in range(6):
+                first_seen: dict[tuple[int, ...], None] = {}
+                for combo in combinations_with_replacement(units, b):
+                    net = [0] * edges
+                    for unit in filter(None, combo):
+                        net[unit[0]] += unit[1]
+                    first_seen.setdefault(tuple(net), None)
+                vectors = list(_net_vectors(edges, b, mode))
+                assert vectors == list(first_seen), (edges, b)
+                assert len(vectors) == net_vector_count(edges, b, mode)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replayed_labels_match_the_canonical_replay(self, seed):
+        rng = random.Random(seed)
+        g = small_graph(seed, k=3, n_per_path=4)
+        for _ in range(200):
+            net = {
+                (p.path_id, e): rng.randint(-3, 3)
+                for p in g.paths
+                for e in range(p.edge_count())
+                if rng.random() < 0.5
+            }
+            shifted, _ = apply_sequence(g, _canonical_ops(net))
+            for p, q in zip(g.paths, shifted.paths):
+                deltas = tuple(net.get((p.path_id, e), 0) for e in range(p.edge_count()))
+                assert _replayed_labels(p.labels, deltas) == q.labels
+
     def test_reached_matches_replay(self, i1):
         sol = solve_xp_by_b(i1, "s", 2, Mode.SHIFT)
         shifted, cost = apply_sequence(i1, sol.ops)
@@ -147,6 +194,19 @@ class TestXpByB:
             sol = solve_xp_by_b(g, "s", 3, mode)
             size, cost = best_by_unit_sequences(g, "s", 3, mode)
             assert (len(sol.reached), sol.cost) == (size, cost)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_solution_as_the_multiset_stream(self, seed):
+        # the whole solution, ops included: first-seen ties must match too
+        g = small_graph(seed, k=2 + seed % 2, share_prob=0.3 + 0.1 * (seed % 5))
+        mid = g.paths[1].vertices[1]  # shared or not, it is mid-path
+        for source in ("s", mid):
+            h = normalize_source(g, source, 4)
+            for mode in MODES:
+                for b in range(5):
+                    assert solve_xp_by_b(h, source, b, mode) == best_by_multisets(
+                        h, source, b, mode
+                    ), (source, mode, b)
 
 
 class TestMinCostForSvs:

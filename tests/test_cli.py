@@ -151,6 +151,15 @@ class TestSolve:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("mode, count", [("shift", 41), ("delay", 15)])
+    def test_xp_b_limit_counts_net_vectors(self, tmp_path, capsys, i1_file, mode, count):
+        # i1 has 4 edges; at b=2 that is 41 net shift vectors (45 unit
+        # multisets) in shift mode and C(4 + 2, 2) = 15 in delay mode
+        args = ["solve", str(i1_file), "--algo", "xp-b", "--budget", "2", "--mode", mode]
+        assert main([*args, "--limit-states", str(count)]) == 0
+        assert main([*args, "--limit-states", str(count - 1)]) == 4
+        assert f"{count} net shift vectors" in capsys.readouterr().err
+
     def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
         # tree 1:0 has two switch sets (at a and at b); the empty set of the
         # root-only tree is not counted against the limit
@@ -259,8 +268,19 @@ class TestVerify:
         assert main(["verify", str(i1_file), str(sol)]) == 2
         sol.write_text(json.dumps({"format": DOC_FORMAT, "algo": "xp-b"}))
         assert main(["verify", str(i1_file), str(sol)]) == 2
-        rc, _ = self.tampered(tmp_path, capsys, i1_file, mode="sideways")
-        assert rc == 2
+        # an unknown mode is rejected before any check is printed
+        rc, out = self.tampered(tmp_path, capsys, i1_file, mode="sideways")
+        assert rc == 2 and "PASS" not in out and "FAIL" not in out
+
+    def test_invalid_instance_is_rejected_before_any_check(self, tmp_path, capsys, i1_file):
+        sol = tmp_path / "sol.json"
+        assert main(["solve", str(i1_file), "--algo", "xp-k", "--output", str(sol)]) == 0
+        bad = tmp_path / "bad.kpg"
+        bad.write_text("kpathgraph v1\nk 1\nsource s\npath 0 : s -3-> a -1-> b\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad), str(sol)]) == 3
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "changes",
@@ -333,6 +353,12 @@ class TestGen:
         assert main(["gen", "mcis-delay", str(mfile)]) == 3
         mfile.write_text("edge lonely\n")
         assert main(["gen", "mcis-delay", str(mfile)]) == 2
+
+    def test_mcis_delay_non_utf8_file(self, tmp_path, capsys):
+        mfile = tmp_path / "m.mcis"
+        mfile.write_bytes(b"\xffcolor C: c1 c2\n")
+        assert main(["gen", "mcis-delay", str(mfile)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestEnum:
