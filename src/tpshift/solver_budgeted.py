@@ -38,19 +38,20 @@ from .graph_core import (
 from .ilp_mini import IlpInstance, IntVar, ge, le, solve_min, terms
 from .switch_structures import (
     EMPTY_SVS,
-    Switch,
+    Site,
+    SlotTable,
     SwitchPathTree,
     SwitchVertexSet,
     _all_reach_root,
     enumerate_spts,
     enumerate_svss,
     enumerate_tree_svss,
-    is_temporal_switch,
     is_valid_svs,
-    make_svs,
     place_switches,
     root_first,
     suffix_union,
+    svs_at,
+    switch_slots,
 )
 
 DEFAULT_STATE_LIMIT = 10_000_000
@@ -384,23 +385,46 @@ def min_cost_for_svs(
 _Candidate = tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet]
 
 
-def _priced(
+def _best_priced(
     graph: TemporalKPathGraph,
+    s: Vertex,
     svss: Iterable[SwitchVertexSet],
     mode: Mode,
     b: int,
     limit_svss: int,
-) -> Iterator[_Candidate]:
-    """(ops, cost, svs) for each affordable set of svss, counted against the limit."""
+) -> _Candidate | None:
+    """The affordable set of svss whose suffixes cover the most, priced exactly.
+
+    The winner and its ops are those that pricing every set at b and
+    keeping the best (reach, -cost), ties going to the first seen, would
+    give; a set is only priced if it can still win. A set whose suffix
+    union is smaller than the best so far is skipped. One of equal size is
+    priced with budget best cost - 1, since only a strictly cheaper set
+    wins, so every set that prices at all becomes the best. Its ops need
+    no second pricing at b: within any budget c >= its cheapest cost C the
+    integer program has the same lex-smallest optimum, because that optimum
+    moves no amount by more than C and so stays feasible when b shrinks to
+    c. Every set counts against limit_svss, skipped or not.
+    """
+    best: _Candidate | None = None
+    best_reach = -1
     for count, svs in enumerate(svss, 1):
         if count > limit_svss:
             raise ResourceLimitError(
                 f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
             )
-        priced = min_cost_for_svs(graph, svs, mode, b)
+        reach = len(suffix_union(graph, svs, s))
+        if reach > best_reach:
+            cap = b
+        elif reach == best_reach and best[1] > 0:
+            cap = best[1] - 1
+        else:
+            continue
+        priced = min_cost_for_svs(graph, svs, mode, cap)
         if priced is not None:
             cost, ops = priced
-            yield ops, cost, svs
+            best, best_reach = (ops, cost, svs), reach
+    return best
 
 
 def _keep_best(
@@ -416,15 +440,29 @@ def _keep_best(
     return best
 
 
-def _best_replayed(
-    graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
+def _replayed(
+    graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None
 ) -> BudgetedSolution:
-    """The best candidate, reporting the full reach of the graph it shifts."""
-    best = _keep_best(graph, s, candidates)
+    """The winning candidate, reporting the full reach of the graph it shifts."""
     assert best is not None  # the empty switch set is always a candidate
     ops, cost, svs = best
     shifted, _ = apply_sequence(graph, ops)
     return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
+
+
+def _shifted_labels(
+    graph: TemporalKPathGraph, ops: Iterable[ShiftOperation]
+) -> list[tuple[int, ...]]:
+    """Every path's labels after apply_sequence(graph, ops), as plain tuples."""
+    labels = [path.labels for path in graph.paths]
+    for op in ops:
+        labels[op.path_id] = shift_labels(labels[op.path_id], op.edge_index, op.delta)
+    return labels
+
+
+def _all_temporal(labels: list[tuple[int, ...]], sites: Iterable[Site]) -> bool:
+    """is_temporal_switch for the switch at each site, under the given labels."""
+    return all(labels[p][pos_p - 1] < labels[c][pos_c] for p, pos_p, c, pos_c in sites)
 
 
 def solve_xp_by_k(
@@ -436,12 +474,19 @@ def solve_xp_by_k(
 ) -> BudgetedSolution:
     """Optimum via switch-set enumeration.
 
-    Prices every valid switch-vertex-set and keeps the affordable one whose
-    suffixes cover the most vertices (ties: cheaper, then first seen).
+    Keeps the affordable valid switch-vertex-set whose suffixes cover the
+    most vertices (ties: cheaper, then first seen). A set is priced only if
+    it can still win: one whose suffix union is smaller than the best so
+    far is skipped, and one of equal size is priced with a budget one below
+    the best cost. That is exact: the key is (reach, -cost), and within
+    any budget that covers a set's cheapest cost the set prices to the same
+    cost and ops (see _best_priced).
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _best_replayed(graph, s, _priced(graph, enumerate_svss(graph), mode, b, limit_svss))
+    return _replayed(
+        graph, s, _best_priced(graph, s, enumerate_svss(graph), mode, b, limit_svss)
+    )
 
 
 def solve_fixed_spt(
@@ -459,7 +504,9 @@ def solve_fixed_spt(
     suffixes), not the incidental reach of the shifted graph. If no
     affordable switch set induces the tree, returns the bare source-path
     suffix, or None when empty_fallback is off. limit_svss counts only the
-    switch sets of this tree.
+    switch sets of this tree. As in solve_xp_by_k, a set that cannot beat
+    the best so far on (reach, -cost) is skipped or priced within a budget
+    one below the best cost, which changes no answer.
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -473,9 +520,8 @@ def solve_fixed_spt(
     if not _all_reach_root(mapping, root):
         raise ParameterError("tree does not hang together under the source path")
 
-    best = _keep_best(
-        graph, s, _priced(graph, enumerate_tree_svss(graph, spt), mode, b, limit_svss)
-    )
+    svss = enumerate_tree_svss(graph, spt, switch_slots(graph))
+    best = _best_priced(graph, s, svss, mode, b, limit_svss)
     if best is None:
         if not empty_fallback:
             return None
@@ -484,29 +530,61 @@ def solve_fixed_spt(
     return BudgetedSolution(ops, cost, frozenset(suffix_union(graph, svs, s)), svs)
 
 
-def solve_fpt_delay(graph: TemporalKPathGraph, s: Vertex, b: int) -> BudgetedSolution:
+def delay_guess_count(trees: Iterable[SwitchPathTree], b: int) -> int:
+    """How many (tree, delay split) guesses fpt-delay places: C(E_t + b, b) per tree."""
+    return sum(math.comb(len(spt.parents) + b, b) for spt in trees)
+
+
+def _splits(parts: int, b: int) -> Iterator[tuple[int, ...]]:
+    """Every split of at most b into parts nonnegative amounts, in lex order.
+
+    The same tuples, in the same order, as product(range(b + 1),
+    repeat=parts) with those summing past b left out.
+    """
+    if parts == 0:
+        yield ()
+        return
+    for first in range(b + 1):
+        for rest in _splits(parts - 1, b - first):
+            yield (first, *rest)
+
+
+def solve_fpt_delay(
+    graph: TemporalKPathGraph,
+    s: Vertex,
+    b: int,
+    limit_states: int = DEFAULT_STATE_LIMIT,
+) -> BudgetedSolution:
     """Delay-only optimum by guessing a tree and a budget split over its edges.
 
     For each guess the tree is walked root first and every switch commits to
     the earliest vertex whose labels work out after propagation; guesses
     that strand a switch are dropped. Earliest placement dominates: it opens
-    the longest suffix and leaves descendants the most room.
+    the longest suffix and leaves descendants the most room. limit_states
+    caps the number of guesses, delay_guess_count, counted up front.
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _best_replayed(graph, s, _delay_guesses(graph, s, b))
+    trees = list(enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id))
+    total = delay_guess_count(trees, b)
+    if total > limit_states:
+        raise ResourceLimitError(
+            f"{total} delay guesses to place, above the limit of {limit_states}"
+        )
+    return _replayed(graph, s, _keep_best(graph, s, _delay_guesses(graph, s, b, trees)))
 
 
-def _delay_guesses(graph: TemporalKPathGraph, s: Vertex, b: int) -> Iterator[_Candidate]:
+def _delay_guesses(
+    graph: TemporalKPathGraph, s: Vertex, b: int, trees: list[SwitchPathTree]
+) -> Iterator[_Candidate]:
     """(ops, cost, svs) for every tree and delay split that places."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+    slots = switch_slots(graph)
+    for spt in trees:
         edges = spt.parents
         order = list(root_first(src, spt.children_of))
-        for split in itertools.product(range(b + 1), repeat=len(edges)):
-            if sum(split) > b:
-                continue
+        for split in _splits(len(edges), b):
             delay = {child: amount for (child, _), amount in zip(edges, split)}
             delay[src] = 0
 
@@ -518,19 +596,17 @@ def _delay_guesses(graph: TemporalKPathGraph, s: Vertex, b: int) -> Iterator[_Ca
                     < graph.paths[child].labels[pos_c] + delay[child]
                 )
 
-            placed = place_switches(graph, order, pos_s, fits)
-            if placed is None:
+            sites = place_switches(graph, slots, order, pos_s, fits)
+            if sites is None:
                 continue
             ops = tuple(
                 ShiftOperation(child, pos_c, delay[child])
-                for child, (_, pos_c) in sorted(placed.items())
+                for child, pos_c in sorted((c, pos_c) for _, _, c, pos_c in sites)
                 if delay[child]
             )
-            svs = make_svs(sw for sw, _ in placed.values())
-            shifted, cost = apply_sequence(graph, ops)
             # the fit test is the temporality condition, verbatim
-            assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
-            yield ops, cost, svs
+            assert _all_temporal(_shifted_labels(graph, ops), sites)
+            yield ops, sum(split), svs_at(graph, sites)
 
 
 @dataclass(frozen=True)
@@ -562,27 +638,21 @@ class _Guess:
         return self.delay + (self.advance_arriving - self.advance_total)
 
 
-def _switch_slots(graph: TemporalKPathGraph):
-    """Shared-vertex switch slots per ordered path pair, grouped by label gap.
+def _slots_by_gap(graph: TemporalKPathGraph, slots: SlotTable):
+    """The slot table with each path pair's slots grouped by label gap.
 
-    Within one gap group the slots are co-sorted along both paths; that is
-    what makes the earliest-match scans below well defined.
+    A group keeps the table's child order, which is also parent order:
+    labels strictly increase along both paths, so two shared vertices in
+    opposite orders on the two paths have different gaps. That co-sorting
+    is what makes the earliest-match scans below well defined.
     """
     out: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-    for ppath in graph.paths:
-        for qpath in graph.paths:
-            if ppath.path_id == qpath.path_id:
-                continue
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for pos_q in range(len(qpath.vertices) - 1):
-                pos_p = ppath.find(qpath.vertices[pos_q])
-                if pos_p is None or pos_p == 0:
-                    continue
-                gap = qpath.labels[pos_q] - ppath.labels[pos_p - 1]
-                groups.setdefault(gap, []).append((pos_p, pos_q))
-            for lst in groups.values():
-                lst.sort()
-            out[(ppath.path_id, qpath.path_id)] = groups
+    for (parent, child), pairs in slots.items():
+        plabels, clabels = graph.paths[parent].labels, graph.paths[child].labels
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for pos_p, pos_c in pairs:
+            groups.setdefault(clabels[pos_c] - plabels[pos_p - 1], []).append((pos_p, pos_c))
+        out[(parent, child)] = groups
     return out
 
 
@@ -599,7 +669,7 @@ def solve_fpt_general(
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _best_replayed(graph, s, _laid_out_guesses(graph, s, b, mode))
+    return _replayed(graph, s, _keep_best(graph, s, _laid_out_guesses(graph, s, b, mode)))
 
 
 def _laid_out_guesses(
@@ -608,7 +678,7 @@ def _laid_out_guesses(
     """(ops, cost, svs) for every guess that places and replays temporal."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    slots = _switch_slots(graph)
+    slots = _slots_by_gap(graph, switch_slots(graph))
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
     for spt in enumerate_spts(graph.k, include_partial=True, root=src):
@@ -634,11 +704,10 @@ def _laid_out_guesses(
                 outcome = _lay_out(graph, families, assign, slots, src, pos_s)
                 if outcome is None:
                     continue
-                svs, ops, cost = outcome
-                shifted, _ = apply_sequence(graph, ops)
+                sites, ops, cost = outcome
                 # a guess can place and still fail the replay; drop it then
-                if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
-                    yield ops, cost, svs
+                if _all_temporal(_shifted_labels(graph, ops), sites):
+                    yield ops, cost, svs_at(graph, sites)
 
 
 def _guesses(
@@ -719,13 +788,13 @@ def _lay_out(
     slots,
     src: int,
     pos_s: int,
-) -> tuple[SwitchVertexSet, tuple[ShiftOperation, ...], int] | None:
+) -> tuple[list[Site], tuple[ShiftOperation, ...], int] | None:
     """Place every guessed switch, earliest first, batching exact couplings.
 
     families holds each parent with its ordered children, root first.
     """
     anchor = {src: pos_s}
-    switches = []
+    sites: list[Site] = []
     net: dict[tuple[int, int], int] = {}
     cost = 0
     for parent, kids in families:
@@ -735,14 +804,14 @@ def _lay_out(
         for child, (pos_p, pos_q) in placed.items():
             anchor[child] = pos_q
             guess = assign[child]
-            switches.append(Switch(graph.paths[child].vertices[pos_q], parent, child))
+            sites.append((parent, pos_p, child, pos_q))
             cost += guess.cost
             if guess.delay:
                 net[(child, pos_q)] = net.get((child, pos_q), 0) + guess.delay
             if guess.own_advance:
                 key = (parent, pos_p - 1)
                 net[key] = net.get(key, 0) + guess.own_advance
-    return make_svs(switches), _canonical_ops(net), cost
+    return sites, _canonical_ops(net), cost
 
 
 def _place_chain(

@@ -12,14 +12,16 @@ from typing import Iterator, Sequence
 
 from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
 from .switch_structures import (
+    SlotTable,
     SwitchPathTree,
     SwitchVertexSet,
     enumerate_spts,
-    make_svs,
     place_switches,
     root_first,
     suffix_union,
+    svs_at,
     svs_reachability,
+    switch_slots,
 )
 
 
@@ -34,7 +36,10 @@ class Temporalization:
 
 
 def best_svs_for_spt(
-    graph: TemporalKPathGraph, s: Vertex, spt: SwitchPathTree
+    graph: TemporalKPathGraph,
+    s: Vertex,
+    spt: SwitchPathTree,
+    slots: SlotTable | None = None,
 ) -> SwitchVertexSet | None:
     """Best label-agnostic realization of a switch-path-tree, or None.
 
@@ -42,14 +47,17 @@ def best_svs_for_spt(
     switch goes on the earliest vertex of the child path that also sits
     strictly after the parent's own switch vertex, which maximizes the
     unlocked suffix and leaves descendants the widest choice. Absence means
-    some tree edge admits no switch at all.
+    some tree edge admits no switch at all. slots is switch_slots(graph),
+    built here when not given.
     """
     src = graph.source_path_id
     start = graph.paths[src].find(s)
     if start is None:
         return None
-    placed = place_switches(graph, root_first(src, spt.children_of), start)
-    return None if placed is None else make_svs(sw for sw, _ in placed.values())
+    if slots is None:
+        slots = switch_slots(graph)
+    sites = place_switches(graph, slots, root_first(src, spt.children_of), start)
+    return None if sites is None else svs_at(graph, sites)
 
 
 def _spanning_then_partial(k: int, root: int) -> Iterator[SwitchPathTree]:
@@ -76,8 +84,9 @@ def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
     src = heads[0]
     graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
     best: tuple[int, SwitchPathTree, SwitchVertexSet] | None = None
+    slots = switch_slots(graph)
     for spt in _spanning_then_partial(len(paths), src):
-        svs = best_svs_for_spt(graph, s, spt)
+        svs = best_svs_for_spt(graph, s, spt, slots)
         if svs is None:
             continue
         size = len(suffix_union(graph, svs, s))

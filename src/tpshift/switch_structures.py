@@ -227,47 +227,81 @@ def root_first(
         yield parent, kids
 
 
+SlotTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
+Site = tuple[int, int, int, int]  # (parent, pos on parent, child, pos on child)
+
+
+def switch_slots(graph: TemporalKPathGraph) -> SlotTable:
+    """Where a switch can sit, for every ordered pair of distinct paths.
+
+    slots[(parent, child)] holds (pos on parent, pos on child) for each
+    vertex the two paths share that has an edge into it on the parent
+    (pos >= 1) and an edge out of it on the child (not its last vertex), in
+    child order. Labels are not consulted, so one table serves a whole solve.
+    """
+    where = []
+    for p in graph.paths:
+        pos: dict[Vertex, int] = {}
+        for i, v in enumerate(p.vertices):
+            pos.setdefault(v, i)  # the first occurrence, as BasePath.find
+        where.append(pos)
+    return {
+        (parent.path_id, child.path_id): tuple(
+            (pos_p, pos_c)
+            for pos_c, v in enumerate(child.vertices[:-1])
+            if (pos_p := on_parent.get(v, 0)) >= 1
+        )
+        for parent, on_parent in zip(graph.paths, where)
+        for child in graph.paths
+        if parent.path_id != child.path_id
+    }
+
+
+def svs_at(graph: TemporalKPathGraph, sites: Iterable[Site]) -> SwitchVertexSet:
+    """The switch-vertex-set with one switch at each site."""
+    return make_svs(Switch(graph.paths[c].vertices[pc], p, c) for p, _, c, pc in sites)
+
+
 def place_switches(
     graph: TemporalKPathGraph,
+    slots: SlotTable,
     order: Iterable[tuple[int, Sequence[int]]],
     start: int,
     fits: Callable[[int, int, int, int, int], bool] | None = None,
-) -> dict[int, tuple[Switch, int]] | None:
+) -> list[Site] | None:
     """Earliest workable switch on every tree edge, placed root first.
 
     order is the tree as root_first yields it; start is the anchor on the
-    source path. A child takes the first vertex of its path, last excluded,
-    that lies after its parent's anchor and passes fits(parent, child,
-    parent anchor, pos on parent, pos on child); that becomes its anchor.
-    Returns child -> (switch onto it, pos on child), or None if one fails.
+    source path; slots is switch_slots(graph). A child takes the first slot
+    of its edge, in child order, that lies after its parent's anchor and
+    passes fits(parent, child, parent anchor, pos on parent, pos on child);
+    that becomes its anchor. Scanning only the slots skips exactly the child
+    vertices the parent lacks or holds at position 0, which the anchor test
+    rejects anyway. Returns the sites in placement order, or None if an
+    edge has no workable slot.
     """
     anchor = {graph.source_path_id: start}
-    placed: dict[int, tuple[Switch, int]] = {}
+    sites: list[Site] = []
     for parent, kids in order:
-        ppath = graph.paths[parent]
+        after = anchor[parent]
         for child in kids:
-            for pos_c, v in enumerate(graph.paths[child].vertices[:-1]):
-                pos_p = ppath.find(v)
-                if (
-                    pos_p is not None
-                    and pos_p > anchor[parent]
-                    and (fits is None or fits(parent, child, anchor[parent], pos_p, pos_c))
-                ):
+            for pos_p, pos_c in slots[(parent, child)]:
+                if pos_p > after and (fits is None or fits(parent, child, after, pos_p, pos_c)):
                     break
             else:
                 return None
             anchor[child] = pos_c
-            placed[child] = (Switch(v, parent, child), pos_c)
-    return placed
+            sites.append((parent, pos_p, child, pos_c))
+    return sites
 
 
 def enumerate_tree_svss(
-    graph: TemporalKPathGraph, spt: SwitchPathTree
+    graph: TemporalKPathGraph, spt: SwitchPathTree, slots: SlotTable
 ) -> Iterator[SwitchVertexSet]:
     """Every valid switch-vertex-set whose transitions are spt's edges.
 
-    spt must be a tree under the source path. Its edges are filled in
-    sorted order from their candidates along the child path, so sets come
+    spt must be a tree under the source path; slots is switch_slots(graph).
+    Its edges are filled in sorted order from their slots, so sets come
     in the order of the candidates' Cartesian product; a choice that breaks
     "off strictly after on" with a chosen neighbour is cut at once.
     """
@@ -278,9 +312,8 @@ def enumerate_tree_svss(
     anchor = {src: start}  # where each chosen path is boarded
     per_edge = [
         [
-            (Switch(v, parent, child), pf, pt)
-            for pt, v in enumerate(graph.paths[child].vertices[:-1])
-            if (pf := graph.paths[parent].find(v)) is not None and pf >= 1
+            (Switch(graph.paths[child].vertices[pt], parent, child), pf, pt)
+            for pf, pt in slots[(parent, child)]
         ]
         for child, parent in edges
     ]
@@ -312,5 +345,6 @@ def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     same for any labeling of the same footprints. Each set appears exactly
     once because distinct trees yield distinct transition sets.
     """
+    slots = switch_slots(graph)
     for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-        yield from enumerate_tree_svss(graph, spt)
+        yield from enumerate_tree_svss(graph, spt, slots)

@@ -7,7 +7,7 @@ values frozen into tests were produced by these functions.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from tpshift.graph_core import (
     Mode,
@@ -15,16 +15,29 @@ from tpshift.graph_core import (
     TemporalKPathGraph,
     Vertex,
     apply_sequence,
+    edge_gap,
     reach_set,
 )
 from tpshift.ilp_mini import IlpInstance
-from tpshift.solver_budgeted import BudgetedSolution, _canonical_ops
+from tpshift.solver_budgeted import (
+    BudgetedSolution,
+    _canonical_ops,
+    _guesses,
+    _lay_out,
+    min_cost_for_svs,
+)
 from tpshift.switch_structures import (
     Switch,
+    SwitchPathTree,
     SwitchVertexSet,
     enumerate_spts,
+    implied_spt,
+    is_temporal_switch,
     is_valid_svs,
     make_svs,
+    root_first,
+    suffix_union,
+    svs_at,
 )
 
 
@@ -223,3 +236,179 @@ def enumerate_svss_by_filtering(graph: TemporalKPathGraph):
             svs = make_svs(combo)
             if is_valid_svs(graph, svs):
                 yield svs
+
+
+def slots_by_find(graph: TemporalKPathGraph) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """switch_slots as a per-vertex find scan: (pos on parent, pos on child)
+    for each child vertex but the last that the parent holds at position >= 1."""
+    out = {}
+    for parent in graph.paths:
+        for child in graph.paths:
+            if parent.path_id != child.path_id:
+                out[(parent.path_id, child.path_id)] = [
+                    (pos_p, pos_c)
+                    for pos_c, v in enumerate(child.vertices[:-1])
+                    if (pos_p := parent.find(v)) is not None and pos_p >= 1
+                ]
+    return out
+
+
+def slots_by_gap_scan(graph: TemporalKPathGraph):
+    """Shared-vertex switch slots per ordered path pair, grouped by label gap.
+
+    One find scan per path pair, each group sorted by position.
+    """
+    out: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
+    for ppath in graph.paths:
+        for qpath in graph.paths:
+            if ppath.path_id == qpath.path_id:
+                continue
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for pos_q in range(len(qpath.vertices) - 1):
+                pos_p = ppath.find(qpath.vertices[pos_q])
+                if pos_p is None or pos_p == 0:
+                    continue
+                gap = qpath.labels[pos_q] - ppath.labels[pos_p - 1]
+                groups.setdefault(gap, []).append((pos_p, pos_q))
+            for lst in groups.values():
+                lst.sort()
+            out[(ppath.path_id, qpath.path_id)] = groups
+    return out
+
+
+def keep_best(graph: TemporalKPathGraph, s: Vertex, candidates):
+    """The candidate whose suffixes cover the most (ties: cheaper, then first seen)."""
+    best_key: tuple[int, int] | None = None
+    best = None
+    for cand in candidates:
+        key = (len(suffix_union(graph, cand[2], s)), -cand[1])
+        if best_key is None or key > best_key:
+            best_key, best = key, cand
+    return best
+
+
+def priced_every_set(graph: TemporalKPathGraph, svss, mode: Mode, b: int):
+    """(ops, cost, svs) for each affordable set of svss, each priced at b."""
+    for svs in svss:
+        priced = min_cost_for_svs(graph, svs, mode, b)
+        if priced is not None:
+            cost, ops = priced
+            yield ops, cost, svs
+
+
+def _replayed(graph: TemporalKPathGraph, s: Vertex, best) -> BudgetedSolution:
+    ops, cost, svs = best
+    shifted, _ = apply_sequence(graph, ops)
+    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
+
+
+def xp_k_pricing_every_set(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+) -> BudgetedSolution:
+    """solve_xp_by_k without pruning: every valid set priced, then keep_best."""
+    svss = enumerate_svss_by_filtering(graph)
+    return _replayed(graph, s, keep_best(graph, s, priced_every_set(graph, svss, mode, b)))
+
+
+def fixed_spt_pricing_every_set(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, svss
+) -> BudgetedSolution:
+    """solve_fixed_spt without pruning; svss are the tree's sets in stream order."""
+    best = keep_best(graph, s, priced_every_set(graph, svss, mode, b))
+    ops, cost, svs = best if best is not None else ((), 0, make_svs(()))
+    return BudgetedSolution(ops, cost, frozenset(suffix_union(graph, svs, s)), svs)
+
+
+def svss_by_tree(graph: TemporalKPathGraph) -> dict[SwitchPathTree, list[SwitchVertexSet]]:
+    """enumerate_svss_by_filtering's stream split by implied tree, order kept."""
+    out: dict[SwitchPathTree, list[SwitchVertexSet]] = {}
+    for svs in enumerate_svss_by_filtering(graph):
+        out.setdefault(implied_spt(svs), []).append(svs)
+    return out
+
+
+def fpt_delay_by_product(graph: TemporalKPathGraph, s: Vertex, b: int) -> BudgetedSolution:
+    """solve_fpt_delay over the filtered product of delay splits.
+
+    Each child takes the first vertex of its path, found on the parent by a
+    find scan after the parent's anchor, whose labels work out; every placed
+    guess is replayed with apply_sequence and must come out temporal.
+    """
+    src = graph.source_path_id
+    pos_s = graph.source_path.find(s)
+
+    def place(spt: SwitchPathTree, delay: dict[int, int]):
+        anchor = {src: pos_s}
+        placed = []
+        for parent, kids in root_first(src, spt.children_of):
+            ppath = graph.paths[parent]
+            for child in kids:
+                cpath = graph.paths[child]
+                for pos_c, v in enumerate(cpath.vertices[:-1]):
+                    pos_p = ppath.find(v)
+                    if pos_p is None or pos_p <= anchor[parent]:
+                        continue
+                    carried = max(0, delay[parent] - edge_gap(ppath, anchor[parent], pos_p - 1))
+                    if ppath.labels[pos_p - 1] + carried < cpath.labels[pos_c] + delay[child]:
+                        break
+                else:
+                    return None
+                anchor[child] = pos_c
+                placed.append((child, pos_c, Switch(v, parent, child)))
+        return placed
+
+    def guesses():
+        for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+            for split in product(range(b + 1), repeat=len(spt.parents)):
+                if sum(split) > b:
+                    continue
+                delay = {child: amount for (child, _), amount in zip(spt.parents, split)}
+                delay[src] = 0
+                placed = place(spt, delay)
+                if placed is None:
+                    continue
+                ops = tuple(
+                    ShiftOperation(child, pos_c, delay[child])
+                    for child, pos_c, _ in sorted(placed)
+                    if delay[child]
+                )
+                shifted, cost = apply_sequence(graph, ops)
+                svs = make_svs(sw for _, _, sw in placed)
+                assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
+                yield ops, cost, svs
+
+    return _replayed(graph, s, keep_best(graph, s, guesses()))
+
+
+def fpt_general_by_scan(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+) -> BudgetedSolution:
+    """solve_fpt_general on slots_by_gap_scan, each placed guess replayed with
+    apply_sequence and dropped unless every switch is temporal."""
+    src = graph.source_path_id
+    pos_s = graph.source_path.find(s)
+    slots = slots_by_gap_scan(graph)
+    allow_delay, allow_advance = mode is not Mode.ADVANCE, mode is not Mode.DELAY
+
+    def guesses():
+        for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+            parents = sorted({parent for _, parent in spt.parents})
+            for ordering in product(*(permutations(spt.children_of(p)) for p in parents)):
+                sigma = dict(zip(parents, ordering))
+                families = [
+                    (parent, kids)
+                    for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
+                    if kids
+                ]
+                chain = [(parent, child, i) for parent, kids in families for i, child in enumerate(kids)]
+                for assign in _guesses(chain, sigma, slots, src, b, allow_delay, allow_advance):
+                    outcome = _lay_out(graph, families, assign, slots, src, pos_s)
+                    if outcome is None:
+                        continue
+                    sites, ops, cost = outcome
+                    svs = svs_at(graph, sites)
+                    shifted, _ = apply_sequence(graph, ops)
+                    if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
+                        yield ops, cost, svs
+
+    return _replayed(graph, s, keep_best(graph, s, guesses()))

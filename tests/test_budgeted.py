@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from conftest import MODES, graph_of, path
-from oracles import best_by_multisets, best_by_unit_sequences, min_cost_for_svs_brute
+from oracles import (
+    best_by_multisets,
+    best_by_unit_sequences,
+    fixed_spt_pricing_every_set,
+    fpt_delay_by_product,
+    fpt_general_by_scan,
+    min_cost_for_svs_brute,
+    slots_by_gap_scan,
+    svss_by_tree,
+    xp_k_pricing_every_set,
+)
 from tpshift.graph_core import (
     AddressingError,
     InvalidInstanceError,
@@ -26,7 +36,9 @@ from tpshift.solver_budgeted import (
     _canonical_ops,
     _net_vectors,
     _replayed_labels,
-    _switch_slots,
+    _slots_by_gap,
+    _splits,
+    delay_guess_count,
     min_cost_for_svs,
     net_vector_count,
     solve_fixed_spt,
@@ -45,6 +57,7 @@ from tpshift.switch_structures import (
     is_temporal_switch,
     make_svs,
     suffix_union,
+    switch_slots,
 )
 
 
@@ -86,7 +99,7 @@ class TestSwitchSlots:
     def test_groups_are_co_sorted(self):
         for seed in range(15):
             g = small_graph(seed, k=3, share_prob=0.7)
-            for (p, q), groups in _switch_slots(g).items():
+            for (p, q), groups in _slots_by_gap(g, switch_slots(g)).items():
                 for gap, pairs in groups.items():
                     for (p1, q1), (p2, q2) in zip(pairs, pairs[1:]):
                         assert p1 < p2 and q1 < q2
@@ -95,6 +108,11 @@ class TestSwitchSlots:
                         assert pp.vertices[pos_p] == qq.vertices[pos_q]
                         assert pos_p >= 1 and pos_q <= len(qq.vertices) - 2
                         assert qq.labels[pos_q] - pp.labels[pos_p - 1] == gap
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gap_groups_match_the_per_pair_scan(self, seed):
+        g = small_graph(seed, k=2 + seed % 3, n_per_path=5, lifetime=12, share_prob=0.8)
+        assert _slots_by_gap(g, switch_slots(g)) == slots_by_gap_scan(g)
 
 
 class TestXpByB:
@@ -302,6 +320,20 @@ class TestMinCostForSvs:
         priced = min_cost_for_svs(tight_chain, svs, Mode.SHIFT, 4)
         assert priced is not None
         assert priced[0] == min_cost_for_svs_brute(tight_chain, svs, Mode.SHIFT, 4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cheapest_ops_do_not_depend_on_the_budget(self, seed):
+        # xp-k and fixed-spt price a set within less than b when only a
+        # cheaper one can win, and report those ops as they are
+        g = gen_random(2 + seed % 3, 4, 10, 0.7, seed=2200 + seed)
+        for mode in MODES:
+            for svs in enumerate_svss(g):
+                at_b = min_cost_for_svs(g, svs, mode, 5)
+                if at_b is not None:
+                    for c in range(at_b[0], 5):
+                        assert min_cost_for_svs(g, svs, mode, c) == at_b, (mode, svs, c)
+                    if at_b[0]:
+                        assert min_cost_for_svs(g, svs, mode, at_b[0] - 1) is None
 
 
 class TestXpByK:
@@ -522,3 +554,137 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def _pruning_case(seed):
+    """A gen_random instance for the pruning checks and its sources.
+
+    k runs 2..5; below 5 a mid-path source adds a path through
+    normalize_source, so every case has at most five paths.
+    """
+    k = 2 + seed % 4
+    g = gen_random(k, 4 if k <= 3 else 3, 10, 0.5, 4100 + seed)
+    sources = ("s", g.paths[1].vertices[1]) if k < 5 else ("s",)
+    return [(normalize_source(g, source, 4), source) for source in sources]
+
+
+PRUNING_SEEDS = range(8)
+
+
+class TestPruningChangesNoSolution:
+    """The solvers skip work that cannot change the answer; each must still
+    return exactly its reference's solution from tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_xp_k_matches_pricing_every_set(self, seed):
+        for g, source in _pruning_case(seed):
+            for mode in MODES:
+                for b in range(5):
+                    assert solve_xp_by_k(g, source, b, mode) == xp_k_pricing_every_set(
+                        g, source, b, mode
+                    ), (source, mode, b)
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_fixed_spt_matches_pricing_every_set_on_every_tree(self, seed):
+        for g, source in _pruning_case(seed):
+            by_tree = svss_by_tree(g)
+            for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+                for mode in MODES:
+                    for b in range(5):
+                        got = solve_fixed_spt(g, source, b, mode, spt)
+                        ref = fixed_spt_pricing_every_set(
+                            g, source, b, mode, by_tree.get(spt, [])
+                        )
+                        assert got == ref, (source, spt, mode, b)
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_fpt_delay_matches_the_product_scan(self, seed):
+        for g, source in _pruning_case(seed):
+            for b in range(5):
+                assert solve_fpt_delay(g, source, b) == fpt_delay_by_product(
+                    g, source, b
+                ), (source, b)
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_fpt_general_matches_the_gap_scan(self, seed):
+        for g, source in _pruning_case(seed):
+            for mode in MODES:
+                for b in range(5):
+                    assert solve_fpt_general(g, source, b, mode) == fpt_general_by_scan(
+                        g, source, b, mode
+                    ), (source, mode, b)
+
+
+@pytest.fixture
+def equal_pair():
+    """Switch sets 4 and 5 both reach 8 vertices at delay cost 2 (b=2).
+
+    Stream: {} (4, 0), {v0:0->1} (5, 0), {v1:0->1} (5, 0), {v1:0->2} (7, 2),
+    {v0:0->1, v1:0->2} (8, 2), {v1:0->1, v1:0->2} (8, 2), then
+    {v0:0->1, v1:1->2} (8) at no cost within 2.
+    """
+    return graph_of(
+        path(0, "s v0 v1 v2", (1, 2, 7)),
+        path(1, "v3 v0 v1 v4", (3, 5, 9)),
+        path(2, "v1 v5 v6 v7", (1, 3, 4)),
+    )
+
+
+@pytest.fixture
+def one_cheaper():
+    """Switch sets 1 and 2 both reach 7 vertices, at delay cost 3 and 2."""
+    return graph_of(
+        path(0, "s v0 v1 v2", (2, 6, 9)),
+        path(1, "v2 v3 v4 v5", (7, 9, 10)),
+        path(2, "v0 v6 v7 v5", (1, 6, 7)),
+    )
+
+
+class TestIncumbentBoundTies:
+    def _keys(self, g, b):
+        """(reach, cost at b) of every set in stream order; cost None if unaffordable."""
+        out = []
+        for svs in enumerate_svss(g):
+            priced = min_cost_for_svs(g, svs, Mode.DELAY, b)
+            out.append((len(suffix_union(g, svs, "s")), None if priced is None else priced[0]))
+        return out
+
+    def test_a_later_set_of_equal_reach_and_cost_loses(self, equal_pair):
+        assert self._keys(equal_pair, 2)[4:] == [(8, 2), (8, 2), (8, None)]
+        want = make_svs([Switch("v0", 0, 1), Switch("v1", 0, 2)])
+        sol = solve_xp_by_k(equal_pair, "s", 2, Mode.DELAY)
+        assert (sol.witness_svs, sol.cost) == (want, 2)
+        assert sol.ops == (ShiftOperation(2, 0, 2),)
+        assert sol == xp_k_pricing_every_set(equal_pair, "s", 2, Mode.DELAY)
+        tree = SwitchPathTree(((1, 0), (2, 0)))
+        fixed = solve_fixed_spt(equal_pair, "s", 2, Mode.DELAY, tree)
+        assert (fixed.witness_svs, fixed.cost) == (want, 2)
+
+    def test_a_later_set_of_equal_reach_and_cost_one_lower_wins(self, one_cheaper):
+        assert self._keys(one_cheaper, 3) == [(4, 0), (7, 3), (7, 2), (9, None)]
+        sol = solve_xp_by_k(one_cheaper, "s", 3, Mode.DELAY)
+        assert (sol.witness_svs, sol.cost) == (make_svs([Switch("v0", 0, 2)]), 2)
+        assert sol.ops == (ShiftOperation(2, 0, 2),)
+        assert sol == xp_k_pricing_every_set(one_cheaper, "s", 3, Mode.DELAY)
+
+
+class TestDelaySplits:
+    @pytest.mark.parametrize("parts", range(4))
+    def test_splits_come_in_the_filtered_products_order(self, parts):
+        for b in range(7):
+            want = [t for t in product(range(b + 1), repeat=parts) if sum(t) <= b]
+            assert list(_splits(parts, b)) == want, b
+
+    def test_guess_count_is_the_number_of_splits(self):
+        for k in (1, 2, 3, 4):
+            trees = list(enumerate_spts(k, include_partial=True))
+            for b in range(5):
+                want = sum(len(list(_splits(len(t.parents), b))) for t in trees)
+                assert delay_guess_count(trees, b) == want
+
+    def test_guess_limit_trips(self, tight_chain):
+        # trees on 3 paths: 1 root-only, 2 with one edge, 3 with two edges;
+        # at b=2 that is 1 + 2 * C(3, 2) + 3 * C(4, 2) = 25 guesses
+        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=25).cost == 1
+        with pytest.raises(ResourceLimitError, match="25 delay guesses"):
+            solve_fpt_delay(tight_chain, "s", 2, limit_states=24)

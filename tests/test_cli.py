@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import graph_of, path
+from tpshift import cli
 from tpshift.cli import DOC_FORMAT, main
 from tpshift.graph_core import parse_instance, validate, write_instance
 
@@ -160,6 +161,14 @@ class TestSolve:
         assert main([*args, "--limit-states", str(count - 1)]) == 4
         assert f"{count} net shift vectors" in capsys.readouterr().err
 
+    def test_fpt_delay_limit_counts_guesses(self, tmp_path, capsys, i1_file):
+        # trees under path 0: the root-only tree and 1:0; at b=2 that is
+        # C(0 + 2, 2) + C(1 + 2, 2) = 4 (tree, delay split) guesses
+        args = ["solve", str(i1_file), "--algo", "fpt-delay", "--mode", "delay", "--budget", "2"]
+        assert main([*args, "--limit-states", "4"]) == 0
+        assert main([*args, "--limit-states", "3"]) == 4
+        assert "4 delay guesses" in capsys.readouterr().err
+
     def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
         # tree 1:0 has two switch sets (at a and at b); the empty set of the
         # root-only tree is not counted against the limit
@@ -183,6 +192,42 @@ class TestSolve:
         assert rc == 0
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "abc")
         assert main(["solve", str(i1_file), "--algo", "xp-b", "--budget", "2"]) == 2
+
+
+class TestParserReuse:
+    """main reuses one parser; no call may see another call's values."""
+
+    def test_consecutive_calls_do_not_share_values(self, tmp_path, capsys, i1_file):
+        fixed = ["solve", str(i1_file), "--algo", "fixed-spt", "--budget", "1"]
+        out = tmp_path / "doc.json"
+        assert main([*fixed, "--spt", "1:0", "--output", str(out), "--limit-states", "1"]) == 0
+        # --spt, --output and --limit-states fall back to their defaults
+        assert main(fixed) == 2
+        assert "requires --spt" in capsys.readouterr().err
+        doc = solve_doc(tmp_path, capsys, i1_file, "--algo", "xp-b", "--budget", "2")
+        assert doc["algo"] == "xp-b" and doc["mode"] == "shift"
+        assert main(["verify", str(i1_file), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(i1_file), "--algo", "nope"]) == 2
+        assert main(["enum", "spt", "--k", "3"]) == 0
+        assert capsys.readouterr().out == "3\n"
+        assert main(["solve", str(i1_file), "--algo", "xp-k", "--budget", "1",
+                     "--mode", "delay"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "delay"
+        assert main(["verify", str(i1_file)]) == 2
+        assert main(["enum", "spt", "--k", "3", "--partial"]) == 0
+        assert capsys.readouterr().out == "6\n"
+
+    def test_a_wrapper_put_on_a_subcommand_later_sees_its_calls(
+        self, capsys, i1_file, monkeypatch
+    ):
+        # perfbench/spans.py wraps cli.cmd_solve after the parser exists
+        assert main(["enum", "spt", "--k", "2"]) == 0
+        seen = []
+        real = cli.cmd_solve
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.algo) or real(args))
+        assert main(["solve", str(i1_file), "--algo", "xp-b"]) == 0
+        assert seen == ["xp-b"]
 
 
 class TestVerify:

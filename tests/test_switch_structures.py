@@ -7,7 +7,7 @@ from itertools import chain, combinations
 import pytest
 
 from conftest import graph_of, path
-from oracles import enumerate_svss_by_filtering, svs_respecting_reach
+from oracles import enumerate_svss_by_filtering, slots_by_find, svs_respecting_reach
 from tpshift.graph_core import ParameterError, ShiftOperation, ValidityError, apply_shift, reach_set
 from tpshift.instances import gen_random
 from tpshift.switch_structures import (
@@ -22,6 +22,7 @@ from tpshift.switch_structures import (
     make_svs,
     suffix_union,
     svs_reachability,
+    switch_slots,
 )
 
 
@@ -311,3 +312,18 @@ class TestEnumerateSvss:
             g = gen_random(3, 3, 9, 0.7, seed=900 + seed)
         for svs in enumerate_svss(g):
             assert is_valid_svs(g, svs)
+
+
+class TestSwitchSlots:
+    def test_ends_of_paths(self):
+        # a opens path 1 and ends path 0; b is last on path 1; c is first on
+        # path 0: only (0 -> 1, a) and (1 -> 0, c) have an edge in and out
+        g = graph_of(path(0, "c s a", (1, 2)), path(1, "a x c b", (0, 3, 4)), source="s")
+        assert switch_slots(g) == {(0, 1): ((2, 0),), (1, 0): ((2, 0),)}
+        assert switch_slots(g) == {key: tuple(v) for key, v in slots_by_find(g).items()}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_vertex_find_scan(self, seed):
+        g = gen_random(2 + seed % 4, 4 + seed % 3, 12, 0.5 + 0.1 * (seed % 4), seed=1600 + seed)
+        want = slots_by_find(g)
+        assert switch_slots(g) == {key: tuple(v) for key, v in want.items()}
