@@ -225,7 +225,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 raise ParameterError("fpt-delay handles --mode delay only")
             sol = solve_fpt_delay(g, s, b, limit_states=state_limit)
         elif args.algo == "fpt-general":
-            sol = solve_fpt_general(g, s, b, mode)
+            sol = solve_fpt_general(g, s, b, mode, limit_states=state_limit)
         else:
             if args.spt is None:
                 raise ParameterError("--algo fixed-spt requires --spt")

@@ -145,7 +145,7 @@ def _objective_floor(lo: list[int], hi: list[int], obj) -> int:
 
 
 def _lex_search(n, lo0, hi0, rows, obj) -> tuple[int, list[int]] | None:
-    """(optimum, lex-smallest optimal point), or None if infeasible."""
+    """(optimum, lex-smallest optimal point) or None; unchecked, each row <= rhs."""
     best: tuple[int, list[int]] | None = None
     stack = [(lo0, hi0)]  # a list, not recursion: depth is n * log2(width)
     while stack:

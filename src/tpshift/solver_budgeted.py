@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .graph_core import (
     AddressingError,
@@ -35,23 +37,20 @@ from .graph_core import (
     reach_with_labels,
     shift_labels,
 )
-from .ilp_mini import IlpInstance, IntVar, ge, le, solve_min, terms
+from .ilp_mini import _lex_search
 from .switch_structures import (
-    EMPTY_SVS,
     Site,
     SlotTable,
     SwitchPathTree,
     SwitchVertexSet,
     _all_reach_root,
     enumerate_spts,
-    enumerate_svss,
-    enumerate_tree_svss,
     is_valid_svs,
     place_switches,
     root_first,
-    suffix_union,
     svs_at,
     switch_slots,
+    tree_sites,
 )
 
 DEFAULT_STATE_LIMIT = 10_000_000
@@ -221,77 +220,79 @@ def min_cost_for_svs(
     enter switch-off vertices. Propagation between those edges is priced
     exactly (including delays eating slack and advances dragging earlier
     edges along), so the returned cost matches brute force. None means no
-    assignment within b exists.
+    assignment within b exists. This is the guarded entry: it checks the
+    set, finds each switch's positions and prices them with _price_sites,
+    the one model builder, which xp-k and fixed-spt call directly because
+    their sets are valid by construction and come with their positions.
     """
     _check_budget(b)
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
-    switches = sorted(
-        svs.switches, key=lambda sw: (sw.to_path, sw.from_path, sw.vertex)
-    )
-    if not switches:
+    paths = graph.paths
+    sites = [
+        (sw.from_path, paths[sw.from_path].find(sw.vertex),
+         sw.to_path, paths[sw.to_path].find(sw.vertex))
+        for sw in svs.switches
+    ]
+    return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b)
+
+
+def _price_sites(
+    graph: TemporalKPathGraph, sites: Iterable[Site], start: int, mode: Mode, b: int
+) -> tuple[int, tuple[ShiftOperation, ...]] | None:
+    """min_cost_for_svs for the valid switch set at sites, unchecked.
+
+    start is the source's position on its path. The integer program is built
+    on variable indices, declared in the order d, a, pd/h, m/u, e (see the
+    comments below), with zero coefficients dropped from its rows, and
+    solved by the lexicographic search, so it returns the lex-smallest
+    optimum in that order. Ops are read from d and a alone, which come
+    first, so the order among the others cannot change them.
+    """
+    sites = sorted(sites, key=itemgetter(2))  # by switched-onto path
+    if not sites:
         return 0, ()
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
     src = graph.source_path_id
-
-    onto = {sw.to_path: sw for sw in switches}
-    anchor: dict[int, int] = {src: graph.paths[src].find(graph.source)}
-    for pid, sw in onto.items():
-        anchor[pid] = graph.paths[pid].find(sw.vertex)
+    anchor = {src: start}
     offs: dict[int, list[int]] = {}
-    for sw in switches:
-        pos = graph.paths[sw.from_path].find(sw.vertex)
-        offs.setdefault(sw.from_path, [])
-        if pos not in offs[sw.from_path]:
-            offs[sw.from_path].append(pos)
-    for positions in offs.values():
-        positions.sort()
-
-    tree_paths = sorted(onto)
+    for p, pos_p, q, pos_q in sites:
+        anchor[q] = pos_q
+        if pos_p not in offs.setdefault(p, []):
+            offs[p].append(pos_p)
     off_paths = sorted(offs)
+    for p in off_paths:
+        offs[p].sort()
 
-    def dvar(q: int) -> str:
-        return f"d{q}"
+    hi: list[int] = []  # each variable's upper bound; every lower bound is 0
 
-    def avar(p: int, pos: int) -> str:
-        return f"a{p}_{pos}"
+    def var(top: int) -> int:
+        hi.append(top)
+        return len(hi) - 1
 
-    def pvar(p: int, pos: int) -> str:  # propagated delay at the edge into pos
-        return f"D{p}_{pos}"
-
-    def hvar(p: int, pos: int) -> str:
-        return f"h{p}_{pos}"
-
-    def mvar(p: int, pos: int) -> str:  # advance dragged in from later edges
-        return f"m{p}_{pos}"
-
-    def uvar(p: int, pos: int) -> str:
-        return f"u{p}_{pos}"
-
-    def evar(q: int) -> str:  # advance dragged back onto the switch-in edge
-        return f"E{q}"
-
-    variables: list[IntVar] = []
-    if allow_delay:
-        variables += [IntVar(dvar(q), 0, b) for q in tree_paths]
-    if allow_advance:
-        variables += [
-            IntVar(avar(p, pos), 0, b) for p in off_paths for pos in offs[p]
-        ]
+    # d[q]: delay on q's switch-in edge; a[p, pos]: advance on the edge into pos
+    d = {q: var(b) for _, _, q, _ in sites} if allow_delay else {}
+    a = {(p, pos): var(b) for p in off_paths for pos in offs[p]} if allow_advance else {}
+    pd, h, m, u, e = {}, {}, {}, {}, {}
     for p in off_paths:
         if allow_delay and p != src:
-            for pos in offs[p]:
-                variables.append(IntVar(pvar(p, pos), 0, b))
-                variables.append(IntVar(hvar(p, pos), 0, 1))
+            for pos in offs[p]:  # propagated delay at the edge into pos
+                pd[p, pos], h[p, pos] = var(b), var(1)
         if allow_advance:
-            for pos in offs[p][:-1]:
-                variables.append(IntVar(mvar(p, pos), 0, b))
-                variables.append(IntVar(uvar(p, pos), 0, 1))
-            if p != src:
-                variables.append(IntVar(evar(p), 0, b))
+            for pos in offs[p][:-1]:  # advance dragged in from later edges
+                m[p, pos], u[p, pos] = var(b), var(1)
+            if p != src:  # advance dragged back onto the switch-in edge
+                e[p] = var(b)
 
-    constraints = []
+    rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
+
+    def le(pairs: list[tuple[int, int]], rhs: int) -> None:
+        rows.append((tuple(filter(itemgetter(1), pairs)), rhs))  # zeros dropped
+
+    def ge(pairs: list[tuple[int, int]], rhs: int) -> None:
+        le([(j, -c) for j, c in pairs], -rhs)
+
     for p in off_paths:
         path = graph.paths[p]
         positions = offs[p]
@@ -300,130 +301,132 @@ def min_cost_for_svs(
         if has_delay:
             # propagated delay at the edge into each off vertex:
             # exactly max(0, own delay - slack from the switch-in edge)
-            d = dvar(p)
             for pos in positions:
                 c = edge_gap(path, anchor[p], pos - 1)
-                dv, hv = pvar(p, pos), hvar(p, pos)
-                constraints.append(ge([(dv, 1), (d, -1)], -c))
-                constraints.append(le([(dv, 1), (hv, -b)], 0))
-                constraints.append(le([(dv, 1), (d, -1), (hv, c)], 0))
+                dv, hv = pd[p, pos], h[p, pos]
+                ge([(dv, 1), (d[p], -1)], -c)
+                le([(dv, 1), (hv, -b)], 0)
+                le([(dv, 1), (d[p], -1), (hv, c)], 0)
         if allow_advance:
             # advance dragged backwards from the next off edge:
             # exactly max(0, arriving advance - remaining gap)
             for i in range(r - 1):
                 pos, nxt = positions[i], positions[i + 1]
                 gap = edge_gap(path, pos - 1, nxt - 1)
-                mv, uv = mvar(p, pos), uvar(p, pos)
-                expr: list[tuple[str, int]] = [(mv, 1), (avar(p, nxt), -1)]
+                expr = [(m[p, pos], 1), (a[p, nxt], -1)]
                 if i + 1 < r - 1:
-                    expr.append((mvar(p, nxt), -1))
+                    expr.append((m[p, nxt], -1))
                 if has_delay:
-                    expr.append((pvar(p, pos), -1))
-                    expr.append((pvar(p, nxt), 1))
-                constraints.append(ge(expr, -gap))
-                constraints.append(le([(mv, 1), (uv, -b)], 0))
-                constraints.append(le(expr + [(uv, gap + b)], b))
+                    expr += [(pd[p, pos], -1), (pd[p, nxt], 1)]
+                ge(expr, -gap)
+                le([(m[p, pos], 1), (u[p, pos], -b)], 0)
+                le(expr + [(u[p, pos], gap + b)], b)
             if p != src:
                 # backwash onto the switch-in edge; a lower bound suffices
                 # because it only ever tightens temporality
                 pos1 = positions[0]
-                c1 = edge_gap(path, anchor[p], pos1 - 1)
-                expr = [(evar(p), 1), (avar(p, pos1), -1)]
+                expr = [(e[p], 1), (a[p, pos1], -1)]
                 if r > 1:
-                    expr.append((mvar(p, pos1), -1))
+                    expr.append((m[p, pos1], -1))
                 if has_delay:
-                    expr.append((dvar(p), -1))
-                    expr.append((pvar(p, pos1), 1))
-                constraints.append(ge(expr, -c1))
+                    expr += [(d[p], -1), (pd[p, pos1], 1)]
+                ge(expr, -edge_gap(path, anchor[p], pos1 - 1))
 
-    for sw in switches:
-        p, q = sw.from_path, sw.to_path
-        fpath, tpath = graph.paths[p], graph.paths[q]
-        pf = fpath.find(sw.vertex)
-        room = tpath.labels[anchor[q]] - fpath.labels[pf - 1] - 1
+    for p, pf, q, _ in sites:
+        room = graph.paths[q].labels[anchor[q]] - graph.paths[p].labels[pf - 1] - 1
         expr = []
         if allow_delay and p != src:
-            expr.append((pvar(p, pf), 1))
+            expr.append((pd[p, pf], 1))
         if allow_advance:
-            expr.append((avar(p, pf), -1))
+            expr.append((a[p, pf], -1))
             if pf != offs[p][-1]:
-                expr.append((mvar(p, pf), -1))
+                expr.append((m[p, pf], -1))
         if allow_delay:
-            expr.append((dvar(q), -1))
+            expr.append((d[q], -1))
         if allow_advance and q in offs:
-            expr.append((evar(q), 1))
-        constraints.append(le(expr, room))
+            expr.append((e[q], 1))
+        le(expr, room)
 
-    cost_terms: list[tuple[str, int]] = []
-    if allow_delay:
-        cost_terms += [(dvar(q), 1) for q in tree_paths]
-    if allow_advance:
-        cost_terms += [(avar(p, pos), 1) for p in off_paths for pos in offs[p]]
-    constraints.append(le(cost_terms, b))
-
-    solved = solve_min(
-        IlpInstance(tuple(variables), tuple(constraints), terms(cost_terms))
-    )
+    cost = [(j, 1) for j in (*d.values(), *a.values())]
+    le(cost, b)
+    solved = _lex_search(len(hi), [0] * len(hi), hi, rows, tuple(cost))
     if solved is None:
         return None
-    value, assign = solved
-    ops: list[ShiftOperation] = []
-    if allow_delay:
-        for q in tree_paths:
-            amount = assign[dvar(q)]
-            if amount:
-                ops.append(ShiftOperation(q, anchor[q], amount))
-    if allow_advance:
-        for p in off_paths:
-            for pos in reversed(offs[p]):
-                amount = assign[avar(p, pos)]
-                if amount:
-                    ops.append(ShiftOperation(p, pos - 1, -amount))
+    value, point = solved
+    ops = [ShiftOperation(q, anchor[q], point[j]) for q, j in d.items() if point[j]]
+    if allow_advance:  # back to front on each path
+        ops += [
+            ShiftOperation(p, pos - 1, -point[a[p, pos]])
+            for p in off_paths
+            for pos in reversed(offs[p])
+            if point[a[p, pos]]
+        ]
     return value, tuple(ops)
 
 
-_Candidate = tuple[tuple[ShiftOperation, ...], int, SwitchVertexSet]
+_Candidate = tuple[tuple[ShiftOperation, ...], int, tuple[Site, ...]]
+
+
+def _suffix_union_at(
+    graph: TemporalKPathGraph, s: Vertex
+) -> Callable[[Iterable[Site]], set[Vertex]]:
+    """suffix_union from s of the switch set at the given sites, read off the sites."""
+    vertices = [path.vertices for path in graph.paths]
+    base = graph.source_path.vertices[graph.source_path.find(s) :]
+
+    def union(sites: Iterable[Site]) -> set[Vertex]:
+        out = set(base)
+        for _, _, c, pos_c in sites:
+            out.update(vertices[c][pos_c:])
+        return out
+
+    return union
 
 
 def _best_priced(
     graph: TemporalKPathGraph,
     s: Vertex,
-    svss: Iterable[SwitchVertexSet],
+    site_sets: Iterable[tuple[Site, ...]],
     mode: Mode,
     b: int,
     limit_svss: int,
 ) -> _Candidate | None:
-    """The affordable set of svss whose suffixes cover the most, priced exactly.
+    """The affordable switch set whose suffixes cover the most, priced exactly.
 
-    The winner and its ops are those that pricing every set at b and
-    keeping the best (reach, -cost), ties going to the first seen, would
-    give; a set is only priced if it can still win. A set whose suffix
-    union is smaller than the best so far is skipped. One of equal size is
-    priced with budget best cost - 1, since only a strictly cheaper set
-    wins, so every set that prices at all becomes the best. Its ops need
-    no second pricing at b: within any budget c >= its cheapest cost C the
-    integer program has the same lex-smallest optimum, because that optimum
-    moves no amount by more than C and so stays feasible when b shrinks to
-    c. Every set counts against limit_svss, skipped or not.
+    site_sets are the sites of valid switch sets. The winner and its ops are
+    those that pricing every set at b with min_cost_for_svs and keeping the
+    best (reach, -cost), ties going to the first seen, would give; a set is
+    only priced if it can still win. A set whose suffix union is smaller
+    than the best so far is skipped. One of equal size is priced with budget
+    best cost - 1, since only a strictly cheaper set wins, so every set that
+    prices at all becomes the best. Its ops need no second pricing at b:
+    within any budget c >= its cheapest cost C the integer program has the
+    same lex-smallest optimum, because that optimum moves no amount by more
+    than C and so stays feasible when b shrinks to c. Every set counts
+    against limit_svss, skipped or not. Pricing skips min_cost_for_svs's
+    validity check and position look-ups, since the sets are valid and
+    carry their positions; the suffix union is read off the sites too.
     """
+    union = _suffix_union_at(graph, s)
+    start = graph.source_path.find(graph.source)
     best: _Candidate | None = None
     best_reach = -1
-    for count, svs in enumerate(svss, 1):
+    for count, sites in enumerate(site_sets, 1):
         if count > limit_svss:
             raise ResourceLimitError(
                 f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
             )
-        reach = len(suffix_union(graph, svs, s))
+        reach = len(union(sites))
         if reach > best_reach:
             cap = b
         elif reach == best_reach and best[1] > 0:
             cap = best[1] - 1
         else:
             continue
-        priced = min_cost_for_svs(graph, svs, mode, cap)
+        priced = _price_sites(graph, sites, start, mode, cap)
         if priced is not None:
             cost, ops = priced
-            best, best_reach = (ops, cost, svs), reach
+            best, best_reach = (ops, cost, sites), reach
     return best
 
 
@@ -431,10 +434,11 @@ def _keep_best(
     graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
 ) -> _Candidate | None:
     """The candidate whose suffixes cover the most (ties: cheaper, then first seen)."""
+    union = _suffix_union_at(graph, s)
     best_key: tuple[int, int] | None = None
     best = None
     for cand in candidates:
-        key = (len(suffix_union(graph, cand[2], s)), -cand[1])
+        key = (len(union(cand[2])), -cand[1])
         if best_key is None or key > best_key:
             best_key, best = key, cand
     return best
@@ -445,9 +449,9 @@ def _replayed(
 ) -> BudgetedSolution:
     """The winning candidate, reporting the full reach of the graph it shifts."""
     assert best is not None  # the empty switch set is always a candidate
-    ops, cost, svs = best
+    ops, cost, sites = best
     shifted, _ = apply_sequence(graph, ops)
-    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
+    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs_at(graph, sites))
 
 
 def _shifted_labels(
@@ -484,9 +488,13 @@ def solve_xp_by_k(
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _replayed(
-        graph, s, _best_priced(graph, s, enumerate_svss(graph), mode, b, limit_svss)
+    slots = switch_slots(graph)
+    site_sets = (
+        sites
+        for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+        for sites in tree_sites(graph, spt, slots)
     )
+    return _replayed(graph, s, _best_priced(graph, s, site_sets, mode, b, limit_svss))
 
 
 def solve_fixed_spt(
@@ -520,14 +528,15 @@ def solve_fixed_spt(
     if not _all_reach_root(mapping, root):
         raise ParameterError("tree does not hang together under the source path")
 
-    svss = enumerate_tree_svss(graph, spt, switch_slots(graph))
-    best = _best_priced(graph, s, svss, mode, b, limit_svss)
+    slots = switch_slots(graph, [(parent, child) for child, parent in spt.parents])
+    best = _best_priced(graph, s, tree_sites(graph, spt, slots), mode, b, limit_svss)
     if best is None:
         if not empty_fallback:
             return None
-        best = ((), 0, EMPTY_SVS)
-    ops, cost, svs = best
-    return BudgetedSolution(ops, cost, frozenset(suffix_union(graph, svs, s)), svs)
+        best = ((), 0, ())
+    ops, cost, sites = best
+    reached = frozenset(_suffix_union_at(graph, s)(sites))
+    return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
 def delay_guess_count(trees: Iterable[SwitchPathTree], b: int) -> int:
@@ -543,10 +552,12 @@ def _splits(parts: int, b: int) -> Iterator[tuple[int, ...]]:
     """
     if parts == 0:
         yield ()
-        return
-    for first in range(b + 1):
-        for rest in _splits(parts - 1, b - first):
-            yield (first, *rest)
+    elif parts == 1:  # the common last level, without a generator per value
+        yield from ((first,) for first in range(b + 1))
+    else:
+        for first in range(b + 1):
+            for rest in _splits(parts - 1, b - first):
+                yield (first, *rest)
 
 
 def solve_fpt_delay(
@@ -577,26 +588,42 @@ def solve_fpt_delay(
 def _delay_guesses(
     graph: TemporalKPathGraph, s: Vertex, b: int, trees: list[SwitchPathTree]
 ) -> Iterator[_Candidate]:
-    """(ops, cost, svs) for every tree and delay split that places."""
+    """(ops, cost, sites) for every tree and delay split that places.
+
+    A child's earliest workable slot depends only on (parent, child, parent
+    anchor, parent delay, child delay), so each is found once per solve.
+    """
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
     slots = switch_slots(graph)
+    earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
+    delay: dict[int, int] = {}  # the current split's, read by first_fit
+
+    def first_fit(parent: int, child: int, after: int) -> tuple[int, int] | None:
+        key = (parent, child, after, delay[parent], delay[child])
+        try:
+            return earliest[key]
+        except KeyError:
+            ppath, clabels = graph.paths[parent], graph.paths[child].labels
+            slot = earliest[key] = next(
+                (
+                    (pos_p, pos_c)
+                    for pos_p, pos_c in slots[(parent, child)]
+                    if pos_p > after
+                    and ppath.labels[pos_p - 1] + max(0, key[3] - edge_gap(ppath, after, pos_p - 1))
+                    < clabels[pos_c] + key[4]
+                ),
+                None,
+            )
+            return slot
+
     for spt in trees:
         edges = spt.parents
         order = list(root_first(src, spt.children_of))
         for split in _splits(len(edges), b):
             delay = {child: amount for (child, _), amount in zip(edges, split)}
             delay[src] = 0
-
-            def fits(parent: int, child: int, anchor: int, pos_p: int, pos_c: int) -> bool:
-                ppath = graph.paths[parent]
-                carried = max(0, delay[parent] - edge_gap(ppath, anchor, pos_p - 1))
-                return (
-                    ppath.labels[pos_p - 1] + carried
-                    < graph.paths[child].labels[pos_c] + delay[child]
-                )
-
-            sites = place_switches(graph, slots, order, pos_s, fits)
+            sites = place_switches(graph, order, pos_s, first_fit)
             if sites is None:
                 continue
             ops = tuple(
@@ -606,10 +633,10 @@ def _delay_guesses(
             )
             # the fit test is the temporality condition, verbatim
             assert _all_temporal(_shifted_labels(graph, ops), sites)
-            yield ops, sum(split), svs_at(graph, sites)
+            yield ops, sum(split), tuple(sites)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # built once per guess; slots make that cheap
 class _Guess:
     """Per-path displacement guess for the general search.
 
@@ -633,10 +660,6 @@ class _Guess:
     def own_advance(self) -> int:
         return self.advance_total - self.advance_arriving
 
-    @property
-    def cost(self) -> int:
-        return self.delay + (self.advance_arriving - self.advance_total)
-
 
 def _slots_by_gap(graph: TemporalKPathGraph, slots: SlotTable):
     """The slot table with each path pair's slots grouped by label gap.
@@ -657,83 +680,80 @@ def _slots_by_gap(graph: TemporalKPathGraph, slots: SlotTable):
 
 
 def solve_fpt_general(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+    graph: TemporalKPathGraph,
+    s: Vertex,
+    b: int,
+    mode: Mode,
+    limit_states: int = DEFAULT_STATE_LIMIT,
 ) -> BudgetedSolution:
     """Optimum for any mode by guessing per-path displacement tuples.
 
     Enumerates switch-path trees, sibling orders, and per-path guesses of
-    how much delay and advance ends up on the relevant edges; each guess is
-    then laid out greedily, siblings whose guesses interlock exactly being
-    placed as one rigid batch. Survivors are replayed and re-checked before
-    they can win, so a placed-but-wrong guess can never be reported.
+    how much delay and advance ends up on the relevant edges. One depth-first
+    search guesses child by child, families root first, and lays each
+    family out greedily as soon as its last child is guessed, siblings whose
+    guesses interlock exactly being placed as one rigid batch. limit_states
+    caps the number of guesses made; above it the search raises
+    ResourceLimitError.
+
+    The survivors are those of guessing everything and then laying out each
+    complete guess, in the same order, because all the search skips is work
+    that cannot survive. A family whose layout fails cuts every completion:
+    its placement depends only on its own guesses, its parent's guess and
+    the anchors placed before it. A child tries a label gap only if some
+    slot of that gap lies after its parent's anchor (known by then, as
+    families come root first): a batch member's slot lies at or after its
+    head's, and the head's after the anchor. A child's delay stops at the
+    budget left, since a guess costs at least its delay (its total advance
+    never exceeds the arriving one). Every survivor is replayed and asserted
+    temporal.
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _replayed(graph, s, _keep_best(graph, s, _laid_out_guesses(graph, s, b, mode)))
+    return _replayed(
+        graph, s, _keep_best(graph, s, _general_survivors(graph, s, b, mode, limit_states))
+    )
 
 
-def _laid_out_guesses(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
+def _general_survivors(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit_states: int
 ) -> Iterator[_Candidate]:
-    """(ops, cost, svs) for every guess that places and replays temporal."""
+    """(ops, cost, sites) for every guess that lays out, in guessing order."""
     src = graph.source_path_id
-    pos_s = graph.source_path.find(s)
     slots = _slots_by_gap(graph, switch_slots(graph))
+    # per path pair: each label gap, ascending, with its last slot's pos on the parent
+    tops = {
+        pair: sorted((ell, pairs[-1][0]) for ell, pairs in groups.items())
+        for pair, groups in slots.items()
+    }
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
-    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
-        parents_with_kids = sorted({parent for _, parent in spt.parents})
-        orderings = itertools.product(
-            *(itertools.permutations(spt.children_of(p)) for p in parents_with_kids)
-        )
-        for ordering in orderings:
-            sigma = dict(zip(parents_with_kids, ordering))
-            families = [
-                (parent, kids)
-                for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
-                if kids
-            ]
-            chain_slots = [
-                (parent, child, i)
-                for parent, kids in families
-                for i, child in enumerate(kids)
-            ]
-            for assign in _guesses(
-                chain_slots, sigma, slots, src, b, allow_delay, allow_advance
-            ):
-                outcome = _lay_out(graph, families, assign, slots, src, pos_s)
-                if outcome is None:
-                    continue
-                sites, ops, cost = outcome
-                # a guess can place and still fail the replay; drop it then
-                if _all_temporal(_shifted_labels(graph, ops), sites):
-                    yield ops, cost, svs_at(graph, sites)
+    nodes = 0
+    # The search state, with chain and sigma set per sibling order below.
+    # extend takes back its sites on the way back; a path's guess and
+    # anchor are always set on the current branch before they are read.
+    anchor = {src: graph.source_path.find(s)}
+    assign: dict[int, _Guess] = {}
+    sites: list[Site] = []
 
-
-def _guesses(
-    chain_slots: list[tuple[int, int, int]],
-    sigma: dict[int, tuple[int, ...]],
-    slots,
-    src: int,
-    b: int,
-    allow_delay: bool,
-    allow_advance: bool,
-):
-    """Yield complete guess assignments for every chain slot.
-
-    Chain couplings are enforced while generating: delay carried to a child
-    can only shrink left to right, advance arriving at one sibling caps the
-    next sibling's advance, and budget overruns cut the branch.
-    """
-    n = len(chain_slots)
-
-    def extend(i: int, assign: dict[int, _Guess], spent: int):
-        if i == n:
-            yield dict(assign)
+    def extend(i: int, spent: int) -> Iterator[_Candidate]:
+        nonlocal nodes
+        if i == len(chain):
+            net: dict[tuple[int, int], int] = {}
+            for parent, pos_p, child, pos_q in sites:
+                g = assign[child]
+                for key, amount in ((child, pos_q), g.delay), ((parent, pos_p - 1), g.own_advance):
+                    if amount:
+                        net[key] = net.get(key, 0) + amount
+            ops = _canonical_ops(net)
+            # a laid-out guess replays temporal
+            assert _all_temporal(_shifted_labels(graph, ops), sites)
+            yield ops, spent, tuple(sites)
             return
-        parent, child, idx = chain_slots[i]
+        parent, child, idx = chain[i]
         kids = sigma[parent]
-        ells = sorted(slots[(parent, child)])
+        after = anchor[parent]
+        ells = [ell for ell, top in tops[(parent, child)] if top > after]
         if not ells:
             return
         last = idx == len(kids) - 1
@@ -745,7 +765,8 @@ def _guesses(
             delay_cap = prev.carried_delay
             advance_cap = prev.advance_arriving
         has_kids = bool(sigma.get(child))
-        for delay in range(b + 1) if allow_delay else (0,):
+        left = b - spent
+        for delay in range(left + 1) if allow_delay else (0,):
             for carried in range(delay_cap + 1) if allow_delay else (0,):
                 if carried > 0:
                     arrive_opts = (0,)  # a delayed edge takes no advance
@@ -756,62 +777,57 @@ def _guesses(
                 for arriving in arrive_opts:
                     if not allow_advance or carried > 0:
                         total_opts = (arriving,)
-                    else:
-                        total_opts = range(-b, min(arriving, advance_cap) + 1)
+                    else:  # own advance arriving - total within the budget left
+                        lowest = max(-b, arriving - (left - delay))
+                        total_opts = range(lowest, min(arriving, advance_cap) + 1)
                     for total in total_opts:
                         cost = delay + (arriving - total)
-                        if spent + cost > b:
-                            continue
                         wash_opts = (
                             range(-b, 1)
                             if has_kids and allow_advance and delay == 0
                             else (0,)
                         )
                         for wash in wash_opts:
-                            for ell in ells:
-                                # temporality of this switch, in displacements
-                                if carried + total + 1 > ell + delay + wash:
-                                    continue
+                            # temporality of this switch, in displacements:
+                            # carried + total < ell + delay + wash
+                            first = bisect_left(ells, carried + total + 1 - delay - wash)
+                            for ell in ells[first:]:
+                                nodes += 1
+                                if nodes > limit_states:
+                                    raise ResourceLimitError(
+                                        f"more than {limit_states} fpt-general guesses; "
+                                        "raise the limit to proceed"
+                                    )
                                 assign[child] = _Guess(
                                     delay, carried, total, arriving, wash, ell
                                 )
-                                yield from extend(i + 1, assign, spent + cost)
-        assign.pop(child, None)
+                                if not last:
+                                    yield from extend(i + 1, spent + cost)
+                                    continue
+                                placed = _place_chain(
+                                    graph, parent, kids, assign, slots, after, src
+                                )
+                                if placed is None:
+                                    continue
+                                for _, _, kid, pos_q in placed:
+                                    anchor[kid] = pos_q
+                                sites.extend(placed)
+                                yield from extend(i + 1, spent + cost)
+                                del sites[-len(placed) :]
 
-    yield from extend(0, {}, 0)
-
-
-def _lay_out(
-    graph: TemporalKPathGraph,
-    families: list[tuple[int, tuple[int, ...]]],
-    assign: dict[int, _Guess],
-    slots,
-    src: int,
-    pos_s: int,
-) -> tuple[list[Site], tuple[ShiftOperation, ...], int] | None:
-    """Place every guessed switch, earliest first, batching exact couplings.
-
-    families holds each parent with its ordered children, root first.
-    """
-    anchor = {src: pos_s}
-    sites: list[Site] = []
-    net: dict[tuple[int, int], int] = {}
-    cost = 0
-    for parent, kids in families:
-        placed = _place_chain(graph, parent, kids, assign, slots, anchor, src)
-        if placed is None:
-            return None
-        for child, (pos_p, pos_q) in placed.items():
-            anchor[child] = pos_q
-            guess = assign[child]
-            sites.append((parent, pos_p, child, pos_q))
-            cost += guess.cost
-            if guess.delay:
-                net[(child, pos_q)] = net.get((child, pos_q), 0) + guess.delay
-            if guess.own_advance:
-                key = (parent, pos_p - 1)
-                net[key] = net.get(key, 0) + guess.own_advance
-    return sites, _canonical_ops(net), cost
+    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+        parents_with_kids = sorted({parent for _, parent in spt.parents})
+        orderings = itertools.product(
+            *(itertools.permutations(spt.children_of(p)) for p in parents_with_kids)
+        )
+        for ordering in orderings:
+            sigma = dict(zip(parents_with_kids, ordering))
+            chain = [
+                (parent, child, i)
+                for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
+                for i, child in enumerate(kids)
+            ]
+            yield from extend(0, 0)
 
 
 def _place_chain(
@@ -820,78 +836,63 @@ def _place_chain(
     kids: tuple[int, ...],
     assign: dict[int, _Guess],
     slots,
-    anchor: dict[int, int],
+    after: int,
     src: int,
-) -> dict[int, tuple[int, int]] | None:
+) -> list[Site] | None:
     """Earliest placement of one parent's children, honoring the couplings.
 
-    Between consecutive siblings the label gap must be at least (and, when
-    delay or advance is guessed to flow between them, exactly) what the
-    guessed displacements consume. Exactly-coupled runs move as one batch:
-    the head scans forward, the rest must hit their gap on the nose.
+    after is the parent's anchor; the sites come in sibling order. Between
+    consecutive siblings the label gap must be at least (and, when delay or
+    advance is guessed to flow between them, exactly) what the guessed
+    displacements consume. Exactly-coupled runs move as one batch: the head
+    scans forward, the rest must hit their gap on the nose.
     """
     ppath = graph.paths[parent]
-    batches: list[list[int]] = [[kids[0]]]
-    for prev, nxt in zip(kids, kids[1:]):
-        if assign[nxt].carried_delay > 0 or assign[prev].advance_arriving < 0:
-            batches[-1].append(nxt)
-        else:
-            batches.append([nxt])
-
-    def between(prev: int, nxt: int) -> int:
-        a, z = assign[prev], assign[nxt]
-        return (a.carried_delay - z.carried_delay) + (
-            a.advance_arriving - z.advance_total
-        )
-
-    out: dict[int, tuple[int, int]] = {}
-    prev_child: int | None = None
-    for batch in batches:
-        head = batch[0]
-        head_slots = slots[(parent, head)][assign[head].label_gap]
-        done = False
-        for pos_p, pos_q in head_slots:
-            if pos_p <= anchor[parent]:
+    # the next head goes after lo, with at least need slack from edge ref
+    lo = ref = after
+    if parent == src:
+        need = 0
+    else:
+        g, z = assign[parent], assign[kids[0]]
+        need = (g.delay - z.carried_delay) + (g.backwash - z.advance_total)
+    placed: list[Site] = []
+    i, n = 0, len(kids)
+    while i < n:
+        j = i + 1  # the batch is kids[i:j]
+        while j < n and (
+            assign[kids[j]].carried_delay > 0 or assign[kids[j - 1]].advance_arriving < 0
+        ):
+            j += 1
+        for pos_p, pos_q in slots[(parent, kids[i])][assign[kids[i]].label_gap]:
+            # (slack is never negative, so need <= 0 always holds)
+            if pos_p <= lo or (need > 0 and edge_gap(ppath, ref, pos_p - 1) < need):
                 continue
-            if prev_child is None:
-                if parent != src:
-                    g = assign[head]
-                    need = (assign[parent].delay - g.carried_delay) + (
-                        assign[parent].backwash - g.advance_total
-                    )
-                    if edge_gap(ppath, anchor[parent], pos_p - 1) < need:
-                        continue
-            else:
-                prev_pos = out[prev_child][0]
-                if pos_p < prev_pos:
-                    continue
-                if edge_gap(ppath, prev_pos - 1, pos_p - 1) < between(prev_child, head):
-                    continue
-            trial = {head: (pos_p, pos_q)}
-            cur, cur_pos = head, pos_p
-            ok = True
-            for member in batch[1:]:
-                need = between(cur, member)
-                found = None
-                for mp, mq in slots[(parent, member)].get(assign[member].label_gap, ()):
-                    if mp < cur_pos:
-                        continue
-                    gap = edge_gap(ppath, cur_pos - 1, mp - 1)
-                    if gap == need:
-                        found = (mp, mq)
-                        break
-                    if gap > need:
-                        break
-                if found is None:
-                    ok = False
+            trial = [(parent, pos_p, kids[i], pos_q)]
+            for prev, member in zip(kids[i : j - 1], kids[i + 1 : j]):
+                cur, want = trial[-1][1], _between(assign[prev], assign[member])
+                hit = next(
+                    (
+                        (mp, mq)
+                        for mp, mq in slots[(parent, member)][assign[member].label_gap]
+                        if mp >= cur and edge_gap(ppath, cur - 1, mp - 1) >= want
+                    ),
+                    None,
+                )
+                if hit is None or edge_gap(ppath, cur - 1, hit[0] - 1) != want:
                     break
-                trial[member] = found
-                cur, cur_pos = member, found[0]
-            if ok:
-                out.update(trial)
-                prev_child = batch[-1]
-                done = True
-                break
-        if not done:
+                trial.append((parent, hit[0], member, hit[1]))
+            else:
+                break  # the whole batch placed
+        else:
             return None
-    return out
+        placed += trial
+        if j < n:
+            lo = ref = trial[-1][1] - 1
+            need = _between(assign[kids[j - 1]], assign[kids[j]])
+        i = j
+    return placed
+
+
+def _between(prev: _Guess, nxt: _Guess) -> int:
+    """The slack the parent path must have between two siblings' switches."""
+    return (prev.carried_delay - nxt.carried_delay) + (prev.advance_arriving - nxt.advance_total)

@@ -56,7 +56,11 @@ def best_svs_for_spt(
         return None
     if slots is None:
         slots = switch_slots(graph)
-    sites = place_switches(graph, slots, root_first(src, spt.children_of), start)
+
+    def first_slot(parent: int, child: int, after: int) -> tuple[int, int] | None:
+        return next((slot for slot in slots[(parent, child)] if slot[0] > after), None)
+
+    sites = place_switches(graph, root_first(src, spt.children_of), start, first_slot)
     return None if sites is None else svs_at(graph, sites)
 
 

@@ -231,30 +231,33 @@ SlotTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 Site = tuple[int, int, int, int]  # (parent, pos on parent, child, pos on child)
 
 
-def switch_slots(graph: TemporalKPathGraph) -> SlotTable:
+def switch_slots(
+    graph: TemporalKPathGraph, pairs: Iterable[tuple[int, int]] | None = None
+) -> SlotTable:
     """Where a switch can sit, for every ordered pair of distinct paths.
 
     slots[(parent, child)] holds (pos on parent, pos on child) for each
     vertex the two paths share that has an edge into it on the parent
     (pos >= 1) and an edge out of it on the child (not its last vertex), in
     child order. Labels are not consulted, so one table serves a whole solve.
+    Given pairs, only those (parent, child) entries are built.
     """
-    where = []
-    for p in graph.paths:
-        pos: dict[Vertex, int] = {}
-        for i, v in enumerate(p.vertices):
-            pos.setdefault(v, i)  # the first occurrence, as BasePath.find
-        where.append(pos)
-    return {
-        (parent.path_id, child.path_id): tuple(
+    if pairs is None:
+        pairs = [(p, c) for p in range(graph.k) for c in range(graph.k) if p != c]
+    where: dict[int, dict[Vertex, int]] = {}  # per parent: each vertex's position
+    table = {}
+    for parent, child in pairs:
+        if parent not in where:
+            where[parent] = {}
+            for i, v in enumerate(graph.paths[parent].vertices):
+                where[parent].setdefault(v, i)  # the first occurrence, as BasePath.find
+        on_parent = where[parent]
+        table[(parent, child)] = tuple(
             (pos_p, pos_c)
-            for pos_c, v in enumerate(child.vertices[:-1])
+            for pos_c, v in enumerate(graph.paths[child].vertices[:-1])
             if (pos_p := on_parent.get(v, 0)) >= 1
         )
-        for parent, on_parent in zip(graph.paths, where)
-        for child in graph.paths
-        if parent.path_id != child.path_id
-    }
+    return table
 
 
 def svs_at(graph: TemporalKPathGraph, sites: Iterable[Site]) -> SwitchVertexSet:
@@ -264,46 +267,41 @@ def svs_at(graph: TemporalKPathGraph, sites: Iterable[Site]) -> SwitchVertexSet:
 
 def place_switches(
     graph: TemporalKPathGraph,
-    slots: SlotTable,
     order: Iterable[tuple[int, Sequence[int]]],
     start: int,
-    fits: Callable[[int, int, int, int, int], bool] | None = None,
+    first_slot: Callable[[int, int, int], tuple[int, int] | None],
 ) -> list[Site] | None:
-    """Earliest workable switch on every tree edge, placed root first.
+    """The switch on every tree edge that first_slot picks, placed root first.
 
     order is the tree as root_first yields it; start is the anchor on the
-    source path; slots is switch_slots(graph). A child takes the first slot
-    of its edge, in child order, that lies after its parent's anchor and
-    passes fits(parent, child, parent anchor, pos on parent, pos on child);
-    that becomes its anchor. Scanning only the slots skips exactly the child
-    vertices the parent lacks or holds at position 0, which the anchor test
-    rejects anyway. Returns the sites in placement order, or None if an
-    edge has no workable slot.
+    source path. first_slot(parent, child, parent anchor) gives the child's
+    slot (pos on parent, pos on child), or None if the edge has no workable
+    one; the slot's child position becomes the child's anchor. Returns the
+    sites in placement order, or None if an edge has no workable slot.
     """
     anchor = {graph.source_path_id: start}
     sites: list[Site] = []
     for parent, kids in order:
         after = anchor[parent]
         for child in kids:
-            for pos_p, pos_c in slots[(parent, child)]:
-                if pos_p > after and (fits is None or fits(parent, child, after, pos_p, pos_c)):
-                    break
-            else:
+            slot = first_slot(parent, child, after)
+            if slot is None:
                 return None
-            anchor[child] = pos_c
-            sites.append((parent, pos_p, child, pos_c))
+            anchor[child] = slot[1]
+            sites.append((parent, slot[0], child, slot[1]))
     return sites
 
 
-def enumerate_tree_svss(
+def tree_sites(
     graph: TemporalKPathGraph, spt: SwitchPathTree, slots: SlotTable
-) -> Iterator[SwitchVertexSet]:
-    """Every valid switch-vertex-set whose transitions are spt's edges.
+) -> Iterator[tuple[Site, ...]]:
+    """Sites of every valid switch-vertex-set whose transitions are spt's edges.
 
     spt must be a tree under the source path; slots is switch_slots(graph).
-    Its edges are filled in sorted order from their slots, so sets come
-    in the order of the candidates' Cartesian product; a choice that breaks
-    "off strictly after on" with a chosen neighbour is cut at once.
+    Each set's sites come sorted by child. Edges are filled in sorted order
+    from their slots, so sets come in the order of the candidates' Cartesian
+    product; a choice that breaks "off strictly after on" with a chosen
+    neighbour is cut at once.
     """
     src, edges = graph.source_path_id, spt.parents
     start = graph.paths[src].find(graph.source)
@@ -311,26 +309,23 @@ def enumerate_tree_svss(
         return  # with s off its path not even the empty set is valid
     anchor = {src: start}  # where each chosen path is boarded
     per_edge = [
-        [
-            (Switch(graph.paths[child].vertices[pt], parent, child), pf, pt)
-            for pf, pt in slots[(parent, child)]
-        ]
+        [(parent, pf, child, pt) for pf, pt in slots[(parent, child)]]
         for child, parent in edges
     ]
     below = [[j for j in range(i) if edges[j][1] == c] for i, (c, _) in enumerate(edges)]
-    chosen: list[tuple[Switch, int, int]] = []
+    chosen: list[Site] = []
 
-    def extend(i: int) -> Iterator[SwitchVertexSet]:
+    def extend(i: int) -> Iterator[tuple[Site, ...]]:
         if i == len(edges):
-            yield make_svs(sw for sw, _, _ in chosen)
+            yield tuple(chosen)
             return
         child, parent = edges[i]
         # leave the parent after boarding it; board the child before leaving it
         hi = min((chosen[j][1] for j in below[i]), default=len(graph.paths[child].vertices))
-        for cand in per_edge[i]:
-            if cand[1] > anchor.get(parent, 0) and cand[2] < hi:
-                anchor[child] = cand[2]
-                chosen.append(cand)
+        for site in per_edge[i]:
+            if site[1] > anchor.get(parent, 0) and site[3] < hi:
+                anchor[child] = site[3]
+                chosen.append(site)
                 yield from extend(i + 1)
                 chosen.pop()
         anchor.pop(child, None)
@@ -347,4 +342,5 @@ def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     """
     slots = switch_slots(graph)
     for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-        yield from enumerate_tree_svss(graph, spt, slots)
+        for sites in tree_sites(graph, spt, slots):
+            yield svs_at(graph, sites)

@@ -7,26 +7,28 @@ values frozen into tests were produced by these functions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
 from tpshift.graph_core import (
     Mode,
     ShiftOperation,
     TemporalKPathGraph,
+    ValidityError,
     Vertex,
     apply_sequence,
     edge_gap,
     reach_set,
 )
-from tpshift.ilp_mini import IlpInstance
+from tpshift.ilp_mini import IlpInstance, IntVar, ge, le, solve_min, terms
 from tpshift.solver_budgeted import (
     BudgetedSolution,
     _canonical_ops,
-    _guesses,
-    _lay_out,
+    _check_budget,
     min_cost_for_svs,
 )
 from tpshift.switch_structures import (
+    Site,
     Switch,
     SwitchPathTree,
     SwitchVertexSet,
@@ -188,6 +190,177 @@ def min_cost_for_svs_brute(
     return None
 
 
+def min_cost_for_svs_by_names(
+    graph: TemporalKPathGraph,
+    svs: SwitchVertexSet,
+    mode: Mode,
+    b: int,
+) -> tuple[int, tuple[ShiftOperation, ...]] | None:
+    """min_cost_for_svs's integer program built by variable name.
+
+    Every name comes from an f-string and every row goes through
+    ilp_mini.terms and the checked solve_min; min_cost_for_svs must return
+    the same (cost, ops) for every valid set.
+    """
+    _check_budget(b)
+    if not is_valid_svs(graph, svs):
+        raise ValidityError("switch-vertex-set is not valid for this graph")
+    switches = sorted(
+        svs.switches, key=lambda sw: (sw.to_path, sw.from_path, sw.vertex)
+    )
+    if not switches:
+        return 0, ()
+    allow_delay = mode is not Mode.ADVANCE
+    allow_advance = mode is not Mode.DELAY
+    src = graph.source_path_id
+
+    onto = {sw.to_path: sw for sw in switches}
+    anchor: dict[int, int] = {src: graph.paths[src].find(graph.source)}
+    for pid, sw in onto.items():
+        anchor[pid] = graph.paths[pid].find(sw.vertex)
+    offs: dict[int, list[int]] = {}
+    for sw in switches:
+        pos = graph.paths[sw.from_path].find(sw.vertex)
+        offs.setdefault(sw.from_path, [])
+        if pos not in offs[sw.from_path]:
+            offs[sw.from_path].append(pos)
+    for positions in offs.values():
+        positions.sort()
+
+    tree_paths = sorted(onto)
+    off_paths = sorted(offs)
+
+    def dvar(q: int) -> str:
+        return f"d{q}"
+
+    def avar(p: int, pos: int) -> str:
+        return f"a{p}_{pos}"
+
+    def pvar(p: int, pos: int) -> str:  # propagated delay at the edge into pos
+        return f"D{p}_{pos}"
+
+    def hvar(p: int, pos: int) -> str:
+        return f"h{p}_{pos}"
+
+    def mvar(p: int, pos: int) -> str:  # advance dragged in from later edges
+        return f"m{p}_{pos}"
+
+    def uvar(p: int, pos: int) -> str:
+        return f"u{p}_{pos}"
+
+    def evar(q: int) -> str:  # advance dragged back onto the switch-in edge
+        return f"E{q}"
+
+    variables: list[IntVar] = []
+    if allow_delay:
+        variables += [IntVar(dvar(q), 0, b) for q in tree_paths]
+    if allow_advance:
+        variables += [
+            IntVar(avar(p, pos), 0, b) for p in off_paths for pos in offs[p]
+        ]
+    for p in off_paths:
+        if allow_delay and p != src:
+            for pos in offs[p]:
+                variables.append(IntVar(pvar(p, pos), 0, b))
+                variables.append(IntVar(hvar(p, pos), 0, 1))
+        if allow_advance:
+            for pos in offs[p][:-1]:
+                variables.append(IntVar(mvar(p, pos), 0, b))
+                variables.append(IntVar(uvar(p, pos), 0, 1))
+            if p != src:
+                variables.append(IntVar(evar(p), 0, b))
+
+    constraints = []
+    for p in off_paths:
+        path = graph.paths[p]
+        positions = offs[p]
+        r = len(positions)
+        has_delay = allow_delay and p != src
+        if has_delay:
+            # propagated delay at the edge into each off vertex:
+            # exactly max(0, own delay - slack from the switch-in edge)
+            d = dvar(p)
+            for pos in positions:
+                c = edge_gap(path, anchor[p], pos - 1)
+                dv, hv = pvar(p, pos), hvar(p, pos)
+                constraints.append(ge([(dv, 1), (d, -1)], -c))
+                constraints.append(le([(dv, 1), (hv, -b)], 0))
+                constraints.append(le([(dv, 1), (d, -1), (hv, c)], 0))
+        if allow_advance:
+            # advance dragged backwards from the next off edge:
+            # exactly max(0, arriving advance - remaining gap)
+            for i in range(r - 1):
+                pos, nxt = positions[i], positions[i + 1]
+                gap = edge_gap(path, pos - 1, nxt - 1)
+                mv, uv = mvar(p, pos), uvar(p, pos)
+                expr: list[tuple[str, int]] = [(mv, 1), (avar(p, nxt), -1)]
+                if i + 1 < r - 1:
+                    expr.append((mvar(p, nxt), -1))
+                if has_delay:
+                    expr.append((pvar(p, pos), -1))
+                    expr.append((pvar(p, nxt), 1))
+                constraints.append(ge(expr, -gap))
+                constraints.append(le([(mv, 1), (uv, -b)], 0))
+                constraints.append(le(expr + [(uv, gap + b)], b))
+            if p != src:
+                # backwash onto the switch-in edge; a lower bound suffices
+                # because it only ever tightens temporality
+                pos1 = positions[0]
+                c1 = edge_gap(path, anchor[p], pos1 - 1)
+                expr = [(evar(p), 1), (avar(p, pos1), -1)]
+                if r > 1:
+                    expr.append((mvar(p, pos1), -1))
+                if has_delay:
+                    expr.append((dvar(p), -1))
+                    expr.append((pvar(p, pos1), 1))
+                constraints.append(ge(expr, -c1))
+
+    for sw in switches:
+        p, q = sw.from_path, sw.to_path
+        fpath, tpath = graph.paths[p], graph.paths[q]
+        pf = fpath.find(sw.vertex)
+        room = tpath.labels[anchor[q]] - fpath.labels[pf - 1] - 1
+        expr = []
+        if allow_delay and p != src:
+            expr.append((pvar(p, pf), 1))
+        if allow_advance:
+            expr.append((avar(p, pf), -1))
+            if pf != offs[p][-1]:
+                expr.append((mvar(p, pf), -1))
+        if allow_delay:
+            expr.append((dvar(q), -1))
+        if allow_advance and q in offs:
+            expr.append((evar(q), 1))
+        constraints.append(le(expr, room))
+
+    cost_terms: list[tuple[str, int]] = []
+    if allow_delay:
+        cost_terms += [(dvar(q), 1) for q in tree_paths]
+    if allow_advance:
+        cost_terms += [(avar(p, pos), 1) for p in off_paths for pos in offs[p]]
+    constraints.append(le(cost_terms, b))
+
+    solved = solve_min(
+        IlpInstance(tuple(variables), tuple(constraints), terms(cost_terms))
+    )
+    if solved is None:
+        return None
+    value, assign = solved
+    ops: list[ShiftOperation] = []
+    if allow_delay:
+        for q in tree_paths:
+            amount = assign[dvar(q)]
+            if amount:
+                ops.append(ShiftOperation(q, anchor[q], amount))
+    if allow_advance:
+        for p in off_paths:
+            for pos in reversed(offs[p]):
+                amount = assign[avar(p, pos)]
+                if amount:
+                    ops.append(ShiftOperation(p, pos - 1, -amount))
+    return value, tuple(ops)
+
+
 def cartesian_ilp_min(instance: IlpInstance) -> tuple[int, dict[str, int]] | None:
     """Scan the whole variable grid; first hit in lex order is the answer."""
     names = [v.name for v in instance.variables]
@@ -327,8 +500,9 @@ def svss_by_tree(graph: TemporalKPathGraph) -> dict[SwitchPathTree, list[SwitchV
     return out
 
 
-def fpt_delay_by_product(graph: TemporalKPathGraph, s: Vertex, b: int) -> BudgetedSolution:
-    """solve_fpt_delay over the filtered product of delay splits.
+def fpt_delay_candidates_by_product(graph: TemporalKPathGraph, s: Vertex, b: int):
+    """solve_fpt_delay's candidates (ops, cost, svs) over the filtered product
+    of delay splits.
 
     Each child takes the first vertex of its path, found on the parent by a
     find scan after the parent's anchor, whose labels work out; every placed
@@ -357,58 +531,288 @@ def fpt_delay_by_product(graph: TemporalKPathGraph, s: Vertex, b: int) -> Budget
                 placed.append((child, pos_c, Switch(v, parent, child)))
         return placed
 
-    def guesses():
-        for spt in enumerate_spts(graph.k, include_partial=True, root=src):
-            for split in product(range(b + 1), repeat=len(spt.parents)):
-                if sum(split) > b:
-                    continue
-                delay = {child: amount for (child, _), amount in zip(spt.parents, split)}
-                delay[src] = 0
-                placed = place(spt, delay)
-                if placed is None:
-                    continue
-                ops = tuple(
-                    ShiftOperation(child, pos_c, delay[child])
-                    for child, pos_c, _ in sorted(placed)
-                    if delay[child]
-                )
-                shifted, cost = apply_sequence(graph, ops)
-                svs = make_svs(sw for _, _, sw in placed)
-                assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
-                yield ops, cost, svs
+    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+        for split in product(range(b + 1), repeat=len(spt.parents)):
+            if sum(split) > b:
+                continue
+            delay = {child: amount for (child, _), amount in zip(spt.parents, split)}
+            delay[src] = 0
+            placed = place(spt, delay)
+            if placed is None:
+                continue
+            ops = tuple(
+                ShiftOperation(child, pos_c, delay[child])
+                for child, pos_c, _ in sorted(placed)
+                if delay[child]
+            )
+            shifted, cost = apply_sequence(graph, ops)
+            svs = make_svs(sw for _, _, sw in placed)
+            assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
+            yield ops, cost, svs
 
-    return _replayed(graph, s, keep_best(graph, s, guesses()))
+
+def fpt_delay_by_product(graph: TemporalKPathGraph, s: Vertex, b: int) -> BudgetedSolution:
+    """solve_fpt_delay as keep_best over fpt_delay_candidates_by_product."""
+    return _replayed(graph, s, keep_best(graph, s, fpt_delay_candidates_by_product(graph, s, b)))
+
+
+def fpt_general_survivors_by_scan(graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode):
+    """solve_fpt_general's survivors (ops, cost, svs) by guessing everything first.
+
+    Complete guesses come from _guesses, are laid out with _lay_out on
+    slots_by_gap_scan, and each laid-out guess is replayed with
+    apply_sequence and dropped unless every switch is temporal.
+    """
+    src = graph.source_path_id
+    pos_s = graph.source_path.find(s)
+    slots = slots_by_gap_scan(graph)
+    allow_delay, allow_advance = mode is not Mode.ADVANCE, mode is not Mode.DELAY
+    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
+        parents = sorted({parent for _, parent in spt.parents})
+        for ordering in product(*(permutations(spt.children_of(p)) for p in parents)):
+            sigma = dict(zip(parents, ordering))
+            families = [
+                (parent, kids)
+                for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
+                if kids
+            ]
+            chain = [
+                (parent, child, i) for parent, kids in families for i, child in enumerate(kids)
+            ]
+            for assign in _guesses(chain, sigma, slots, src, b, allow_delay, allow_advance):
+                outcome = _lay_out(graph, families, assign, slots, src, pos_s)
+                if outcome is None:
+                    continue
+                sites, ops, cost = outcome
+                svs = svs_at(graph, sites)
+                shifted, _ = apply_sequence(graph, ops)
+                if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
+                    yield ops, cost, svs
 
 
 def fpt_general_by_scan(
     graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode
 ) -> BudgetedSolution:
-    """solve_fpt_general on slots_by_gap_scan, each placed guess replayed with
-    apply_sequence and dropped unless every switch is temporal."""
-    src = graph.source_path_id
-    pos_s = graph.source_path.find(s)
-    slots = slots_by_gap_scan(graph)
-    allow_delay, allow_advance = mode is not Mode.ADVANCE, mode is not Mode.DELAY
+    """solve_fpt_general as keep_best over fpt_general_survivors_by_scan."""
+    survivors = fpt_general_survivors_by_scan(graph, s, b, mode)
+    return _replayed(graph, s, keep_best(graph, s, survivors))
 
-    def guesses():
-        for spt in enumerate_spts(graph.k, include_partial=True, root=src):
-            parents = sorted({parent for _, parent in spt.parents})
-            for ordering in product(*(permutations(spt.children_of(p)) for p in parents)):
-                sigma = dict(zip(parents, ordering))
-                families = [
-                    (parent, kids)
-                    for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
-                    if kids
-                ]
-                chain = [(parent, child, i) for parent, kids in families for i, child in enumerate(kids)]
-                for assign in _guesses(chain, sigma, slots, src, b, allow_delay, allow_advance):
-                    outcome = _lay_out(graph, families, assign, slots, src, pos_s)
-                    if outcome is None:
+
+# fpt-general's guess-everything-then-lay-out search, kept as it was before the
+# solver began laying out families while it guesses.
+
+
+@dataclass(frozen=True)
+class _Guess:
+    """Per-path displacement guess for the general search.
+
+    All fields describe the final labeling the ops are meant to produce:
+    delay is the op on this path's switch-in edge; carried_delay the delay
+    arriving (via the parent's own op) at the edge leaving the parent for
+    us; advance_total / advance_arriving the advance displacement of that
+    same edge and the part of it propagated in from the right; backwash the
+    advance reaching this path's switch-in edge from our children; and
+    label_gap the raw label difference the chosen switch vertex must have.
+    """
+
+    delay: int
+    carried_delay: int
+    advance_total: int  # <= 0
+    advance_arriving: int  # <= 0, advance_total minus our own op
+    backwash: int  # <= 0
+    label_gap: int
+
+    @property
+    def own_advance(self) -> int:
+        return self.advance_total - self.advance_arriving
+
+    @property
+    def cost(self) -> int:
+        return self.delay + (self.advance_arriving - self.advance_total)
+
+
+def _guesses(
+    chain_slots: list[tuple[int, int, int]],
+    sigma: dict[int, tuple[int, ...]],
+    slots,
+    src: int,
+    b: int,
+    allow_delay: bool,
+    allow_advance: bool,
+):
+    """Yield complete guess assignments for every chain slot.
+
+    Chain couplings are enforced while generating: delay carried to a child
+    can only shrink left to right, advance arriving at one sibling caps the
+    next sibling's advance, and budget overruns cut the branch.
+    """
+    n = len(chain_slots)
+
+    def extend(i: int, assign: dict[int, _Guess], spent: int):
+        if i == n:
+            yield dict(assign)
+            return
+        parent, child, idx = chain_slots[i]
+        kids = sigma[parent]
+        ells = sorted(slots[(parent, child)])
+        if not ells:
+            return
+        last = idx == len(kids) - 1
+        if idx == 0:
+            delay_cap = assign[parent].delay if parent != src else 0
+            advance_cap = assign[parent].backwash if parent != src else 0
+        else:
+            prev = assign[kids[idx - 1]]
+            delay_cap = prev.carried_delay
+            advance_cap = prev.advance_arriving
+        has_kids = bool(sigma.get(child))
+        for delay in range(b + 1) if allow_delay else (0,):
+            for carried in range(delay_cap + 1) if allow_delay else (0,):
+                if carried > 0:
+                    arrive_opts = (0,)  # a delayed edge takes no advance
+                elif last or not allow_advance:
+                    arrive_opts = (0,)
+                else:
+                    arrive_opts = range(-b, 1)
+                for arriving in arrive_opts:
+                    if not allow_advance or carried > 0:
+                        total_opts = (arriving,)
+                    else:
+                        total_opts = range(-b, min(arriving, advance_cap) + 1)
+                    for total in total_opts:
+                        cost = delay + (arriving - total)
+                        if spent + cost > b:
+                            continue
+                        wash_opts = (
+                            range(-b, 1)
+                            if has_kids and allow_advance and delay == 0
+                            else (0,)
+                        )
+                        for wash in wash_opts:
+                            for ell in ells:
+                                # temporality of this switch, in displacements
+                                if carried + total + 1 > ell + delay + wash:
+                                    continue
+                                assign[child] = _Guess(
+                                    delay, carried, total, arriving, wash, ell
+                                )
+                                yield from extend(i + 1, assign, spent + cost)
+        assign.pop(child, None)
+
+    yield from extend(0, {}, 0)
+
+
+def _lay_out(
+    graph: TemporalKPathGraph,
+    families: list[tuple[int, tuple[int, ...]]],
+    assign: dict[int, _Guess],
+    slots,
+    src: int,
+    pos_s: int,
+) -> tuple[list[Site], tuple[ShiftOperation, ...], int] | None:
+    """Place every guessed switch, earliest first, batching exact couplings.
+
+    families holds each parent with its ordered children, root first.
+    """
+    anchor = {src: pos_s}
+    sites: list[Site] = []
+    net: dict[tuple[int, int], int] = {}
+    cost = 0
+    for parent, kids in families:
+        placed = _place_chain(graph, parent, kids, assign, slots, anchor, src)
+        if placed is None:
+            return None
+        for child, (pos_p, pos_q) in placed.items():
+            anchor[child] = pos_q
+            guess = assign[child]
+            sites.append((parent, pos_p, child, pos_q))
+            cost += guess.cost
+            if guess.delay:
+                net[(child, pos_q)] = net.get((child, pos_q), 0) + guess.delay
+            if guess.own_advance:
+                key = (parent, pos_p - 1)
+                net[key] = net.get(key, 0) + guess.own_advance
+    return sites, _canonical_ops(net), cost
+
+
+def _place_chain(
+    graph: TemporalKPathGraph,
+    parent: int,
+    kids: tuple[int, ...],
+    assign: dict[int, _Guess],
+    slots,
+    anchor: dict[int, int],
+    src: int,
+) -> dict[int, tuple[int, int]] | None:
+    """Earliest placement of one parent's children, honoring the couplings.
+
+    Between consecutive siblings the label gap must be at least (and, when
+    delay or advance is guessed to flow between them, exactly) what the
+    guessed displacements consume. Exactly-coupled runs move as one batch:
+    the head scans forward, the rest must hit their gap on the nose.
+    """
+    ppath = graph.paths[parent]
+    batches: list[list[int]] = [[kids[0]]]
+    for prev, nxt in zip(kids, kids[1:]):
+        if assign[nxt].carried_delay > 0 or assign[prev].advance_arriving < 0:
+            batches[-1].append(nxt)
+        else:
+            batches.append([nxt])
+
+    def between(prev: int, nxt: int) -> int:
+        a, z = assign[prev], assign[nxt]
+        return (a.carried_delay - z.carried_delay) + (
+            a.advance_arriving - z.advance_total
+        )
+
+    out: dict[int, tuple[int, int]] = {}
+    prev_child: int | None = None
+    for batch in batches:
+        head = batch[0]
+        head_slots = slots[(parent, head)][assign[head].label_gap]
+        done = False
+        for pos_p, pos_q in head_slots:
+            if pos_p <= anchor[parent]:
+                continue
+            if prev_child is None:
+                if parent != src:
+                    g = assign[head]
+                    need = (assign[parent].delay - g.carried_delay) + (
+                        assign[parent].backwash - g.advance_total
+                    )
+                    if edge_gap(ppath, anchor[parent], pos_p - 1) < need:
                         continue
-                    sites, ops, cost = outcome
-                    svs = svs_at(graph, sites)
-                    shifted, _ = apply_sequence(graph, ops)
-                    if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
-                        yield ops, cost, svs
-
-    return _replayed(graph, s, keep_best(graph, s, guesses()))
+            else:
+                prev_pos = out[prev_child][0]
+                if pos_p < prev_pos:
+                    continue
+                if edge_gap(ppath, prev_pos - 1, pos_p - 1) < between(prev_child, head):
+                    continue
+            trial = {head: (pos_p, pos_q)}
+            cur, cur_pos = head, pos_p
+            ok = True
+            for member in batch[1:]:
+                need = between(cur, member)
+                found = None
+                for mp, mq in slots[(parent, member)].get(assign[member].label_gap, ()):
+                    if mp < cur_pos:
+                        continue
+                    gap = edge_gap(ppath, cur_pos - 1, mp - 1)
+                    if gap == need:
+                        found = (mp, mq)
+                        break
+                    if gap > need:
+                        break
+                if found is None:
+                    ok = False
+                    break
+                trial[member] = found
+                cur, cur_pos = member, found[0]
+            if ok:
+                out.update(trial)
+                prev_child = batch[-1]
+                done = True
+                break
+        if not done:
+            return None
+    return out

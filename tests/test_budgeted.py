@@ -13,8 +13,11 @@ from oracles import (
     best_by_unit_sequences,
     fixed_spt_pricing_every_set,
     fpt_delay_by_product,
+    fpt_delay_candidates_by_product,
     fpt_general_by_scan,
+    fpt_general_survivors_by_scan,
     min_cost_for_svs_brute,
+    min_cost_for_svs_by_names,
     slots_by_gap_scan,
     svss_by_tree,
     xp_k_pricing_every_set,
@@ -33,8 +36,12 @@ from tpshift.graph_core import (
 )
 from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
+    DEFAULT_STATE_LIMIT,
     _canonical_ops,
+    _delay_guesses,
+    _general_survivors,
     _net_vectors,
+    _price_sites,
     _replayed_labels,
     _slots_by_gap,
     _splits,
@@ -57,7 +64,9 @@ from tpshift.switch_structures import (
     is_temporal_switch,
     make_svs,
     suffix_union,
+    svs_at,
     switch_slots,
+    tree_sites,
 )
 
 
@@ -334,6 +343,33 @@ class TestMinCostForSvs:
                         assert min_cost_for_svs(g, svs, mode, c) == at_b, (mode, svs, c)
                     if at_b[0]:
                         assert min_cost_for_svs(g, svs, mode, at_b[0] - 1) is None
+
+
+class TestPricingMatchesTheNamedModel:
+    """min_cost_for_svs and the unchecked _price_sites that xp-k and
+    fixed-spt call build one integer program on variable indices. For every
+    valid set, mode and budget it must give the (cost, ops) of the model
+    built by name in tests/oracles.py: same rows, same declaration order,
+    so the same lex-smallest optimum."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_valid_set_prices_as_the_named_model(self, seed):
+        k = 2 + seed % 4
+        g = gen_random(k, 4 if k <= 3 else 3, 10, 0.8, seed=5200 + seed)
+        cases = [g]
+        if k < 5:  # a mid-path source adds a path
+            cases.append(normalize_source(g, g.paths[1].vertices[1], 5))
+        for g in cases:
+            start = g.source_path.find(g.source)
+            slots = switch_slots(g)
+            for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+                for sites in tree_sites(g, spt, slots):
+                    svs = svs_at(g, sites)
+                    for mode in MODES:
+                        for b in range(6):
+                            want = min_cost_for_svs_by_names(g, svs, mode, b)
+                            assert min_cost_for_svs(g, svs, mode, b) == want, (svs, mode, b)
+                            assert _price_sites(g, sites, start, mode, b) == want, (svs, mode, b)
 
 
 class TestXpByK:
@@ -613,6 +649,61 @@ class TestPruningChangesNoSolution:
                     assert solve_fpt_general(g, source, b, mode) == fpt_general_by_scan(
                         g, source, b, mode
                     ), (source, mode, b)
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_fpt_delay_yields_the_product_scans_candidates(self, seed):
+        for g, source in _pruning_case(seed):
+            trees = list(enumerate_spts(g.k, include_partial=True, root=g.source_path_id))
+            for b in range(5):
+                got = [
+                    (ops, cost, svs_at(g, sites))
+                    for ops, cost, sites in _delay_guesses(g, source, b, trees)
+                ]
+                assert got == list(fpt_delay_candidates_by_product(g, source, b)), (source, b)
+
+    @pytest.mark.parametrize("seed", PRUNING_SEEDS)
+    def test_fpt_general_yields_the_gap_scans_survivors(self, seed):
+        # the whole stream, not only the winner: same survivors, same order
+        for g, source in _pruning_case(seed):
+            for mode in MODES:
+                for b in range(5):
+                    got = [
+                        (ops, cost, svs_at(g, sites))
+                        for ops, cost, sites in _general_survivors(
+                            g, source, b, mode, DEFAULT_STATE_LIMIT
+                        )
+                    ]
+                    want = list(fpt_general_survivors_by_scan(g, source, b, mode))
+                    assert got == want, (source, mode, b)
+
+
+@pytest.fixture
+def boarded_twice():
+    """Every path holds a, the only vertex paths 1 and 2 share.
+
+    Under the tree 1:0, 2:1, path 0 boards path 1 at a, so the one label
+    gap of (1, 2) has its only slot at path 1's anchor and fpt-general must
+    not guess it; the same holds with paths 1 and 2 swapped.
+    """
+    return graph_of(
+        path(0, "s a b", (1, 5)),
+        path(1, "x a c d", (0, 3, 4)),
+        path(2, "y a e", (2, 6)),
+    )
+
+
+class TestGeneralGuessLimit:
+    # the guesses fpt-general makes on boarded_twice at b=2; a guess at the
+    # anchor-only gap, or a delay beyond the budget left, would raise them
+    COUNTS = {Mode.DELAY: 30, Mode.ADVANCE: 55, Mode.SHIFT: 105}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_limit_counts_guesses(self, boarded_twice, mode):
+        count = self.COUNTS[mode]
+        sol = solve_fpt_general(boarded_twice, "s", 2, mode, limit_states=count)
+        assert (sol.cost, len(sol.reached)) == (0, 6)
+        with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-general"):
+            solve_fpt_general(boarded_twice, "s", 2, mode, limit_states=count - 1)
 
 
 @pytest.fixture

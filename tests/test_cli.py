@@ -169,6 +169,21 @@ class TestSolve:
         assert main([*args, "--limit-states", "3"]) == 4
         assert "4 delay guesses" in capsys.readouterr().err
 
+    def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys):
+        # test_budgeted's boarded_twice: fpt-general makes 18 guesses at
+        # b=1 in delay mode
+        f = tmp_path / "boarded.kpg"
+        f.write_text(
+            "kpathgraph v1\nk 3\nsource s\n"
+            "path 0 : s -1-> a -5-> b\n"
+            "path 1 : x -0-> a -3-> c -4-> d\n"
+            "path 2 : y -2-> a -6-> e\n"
+        )
+        args = ["solve", str(f), "--algo", "fpt-general", "--mode", "delay", "--budget", "1"]
+        assert main([*args, "--limit-states", "18"]) == 0
+        assert main([*args, "--limit-states", "17"]) == 4
+        assert "more than 17 fpt-general guesses" in capsys.readouterr().err
+
     def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
         # tree 1:0 has two switch sets (at a and at b); the empty set of the
         # root-only tree is not counted against the limit

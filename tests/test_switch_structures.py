@@ -327,3 +327,12 @@ class TestSwitchSlots:
         g = gen_random(2 + seed % 4, 4 + seed % 3, 12, 0.5 + 0.1 * (seed % 4), seed=1600 + seed)
         want = slots_by_find(g)
         assert switch_slots(g) == {key: tuple(v) for key, v in want.items()}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_subset_of_pairs_is_that_part_of_the_table(self, seed):
+        # fixed-spt builds only its tree's pairs
+        g = gen_random(3 + seed % 3, 5, 12, 0.7, seed=1700 + seed)
+        full = switch_slots(g)
+        pairs = [(p, c) for p, c in full if (p + c + seed) % 3 == 0]
+        assert switch_slots(g, pairs) == {pair: full[pair] for pair in pairs}
+        assert switch_slots(g, []) == {}
