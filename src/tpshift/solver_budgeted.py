@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph_core import (
     AddressingError,
@@ -44,6 +44,7 @@ from .switch_structures import (
     SwitchPathTree,
     SwitchVertexSet,
     _all_reach_root,
+    _valid_site_sets,
     enumerate_spts,
     is_valid_svs,
     place_switches,
@@ -229,27 +230,28 @@ def min_cost_for_svs(
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
     paths = graph.paths
-    sites = [
-        (sw.from_path, paths[sw.from_path].find(sw.vertex),
-         sw.to_path, paths[sw.to_path].find(sw.vertex))
-        for sw in svs.switches
-    ]
+    sites = sorted(
+        ((sw.from_path, paths[sw.from_path].find(sw.vertex),
+          sw.to_path, paths[sw.to_path].find(sw.vertex)) for sw in svs.switches),
+        key=itemgetter(2),
+    )
     return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b)
 
 
 def _price_sites(
-    graph: TemporalKPathGraph, sites: Iterable[Site], start: int, mode: Mode, b: int
+    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int
 ) -> tuple[int, tuple[ShiftOperation, ...]] | None:
     """min_cost_for_svs for the valid switch set at sites, unchecked.
 
-    start is the source's position on its path. The integer program is built
-    on variable indices, declared in the order d, a, pd/h, m/u, e (see the
-    comments below), with zero coefficients dropped from its rows, and
-    solved by the lexicographic search, so it returns the lex-smallest
-    optimum in that order. Ops are read from d and a alone, which come
-    first, so the order among the others cannot change them.
+    sites must come sorted by child, as tree_sites yields them: the d
+    variables are declared in that order. start is the source's position
+    on its path. The integer program is built on variable indices, declared
+    in the order d, a, pd/h, m/u, e (see the comments below), with zero
+    coefficients dropped from its rows, and solved by the lexicographic
+    search, so it returns the lex-smallest optimum in that order. Ops are
+    read from d and a alone, which come first, so the order among the
+    others cannot change them.
     """
-    sites = sorted(sites, key=itemgetter(2))  # by switched-onto path
     if not sites:
         return 0, ()
     allow_delay = mode is not Mode.ADVANCE
@@ -488,13 +490,8 @@ def solve_xp_by_k(
     """
     _check_budget(b)
     _require_source(graph, s)
-    slots = switch_slots(graph)
-    site_sets = (
-        sites
-        for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
-        for sites in tree_sites(graph, spt, slots)
-    )
-    return _replayed(graph, s, _best_priced(graph, s, site_sets, mode, b, limit_svss))
+    best = _best_priced(graph, s, _valid_site_sets(graph), mode, b, limit_svss)
+    return _replayed(graph, s, best)
 
 
 def solve_fixed_spt(
@@ -552,12 +549,10 @@ def _splits(parts: int, b: int) -> Iterator[tuple[int, ...]]:
     """
     if parts == 0:
         yield ()
-    elif parts == 1:  # the common last level, without a generator per value
-        yield from ((first,) for first in range(b + 1))
-    else:
-        for first in range(b + 1):
-            for rest in _splits(parts - 1, b - first):
-                yield (first, *rest)
+        return
+    for first in range(b + 1):
+        for rest in _splits(parts - 1, b - first):
+            yield (first, *rest)
 
 
 def solve_fpt_delay(

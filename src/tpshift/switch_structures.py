@@ -333,6 +333,13 @@ def tree_sites(
     yield from extend(0)
 
 
+def _valid_site_sets(graph: TemporalKPathGraph) -> Iterator[tuple[Site, ...]]:
+    """The sites of every valid switch-vertex-set, in enumerate_svss's order."""
+    slots = switch_slots(graph)
+    for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
+        yield from tree_sites(graph, spt, slots)
+
+
 def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     """Every valid switch-vertex-set of the graph, the empty one first.
 
@@ -340,7 +347,5 @@ def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     same for any labeling of the same footprints. Each set appears exactly
     once because distinct trees yield distinct transition sets.
     """
-    slots = switch_slots(graph)
-    for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-        for sites in tree_sites(graph, spt, slots):
-            yield svs_at(graph, sites)
+    for sites in _valid_site_sets(graph):
+        yield svs_at(graph, sites)
