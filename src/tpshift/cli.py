@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -70,6 +69,16 @@ EXIT_LIMIT = 4
 
 ALGOS = ("unbounded", "xp-b", "xp-k", "fpt-delay", "fpt-general", "fixed-spt")
 
+# sha256 from the built-in module, as the standard library's random module
+# takes sha512: importing hashlib loads OpenSSL, 3.7 MB of RSS on Python 3.11.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 def _decode(data: bytes, what: str) -> str:
     try:
@@ -87,9 +96,14 @@ def _parse_valid(data: bytes) -> TemporalKPathGraph:
     return graph
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 digest of data, as hashlib.sha256 gives it."""
+    return _sha256(data).hexdigest()
+
+
 def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
     data = Path(path).read_bytes()
-    return _parse_valid(data), hashlib.sha256(data).hexdigest()
+    return _parse_valid(data), _sha256_hex(data)
 
 
 def _state_limit(args: argparse.Namespace) -> int | None:
@@ -328,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}" + (f": {detail}" if detail else ""))
 
-    sha = hashlib.sha256(data).hexdigest()
+    sha = _sha256_hex(data)
     report(
         "instance-hash",
         doc["instance_sha256"] == sha,

@@ -251,6 +251,26 @@ def reach_with_labels(
     return set(arrival)
 
 
+def static_reach(paths: Sequence[BasePath], source: Vertex) -> set[Vertex]:
+    """Vertices reachable from source along path edges, labels ignored.
+
+    Every temporal walk is a walk in this digraph, so no labeling of the
+    paths lets source reach more than this set.
+    """
+    successors: dict[Vertex, list[Vertex]] = {}
+    for p in paths:
+        for u, v in zip(p.vertices, p.vertices[1:]):
+            successors.setdefault(u, []).append(v)
+    seen = {source}
+    stack = [source]
+    while stack:
+        for v in successors.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def is_normalized(graph: TemporalKPathGraph, s: Vertex | None = None) -> bool:
     """True iff s (default: graph.source) heads its path and occurs nowhere else."""
     if s is None:
@@ -330,7 +350,7 @@ def parse_instance(text: str) -> TemporalKPathGraph:
         raise ParseError("missing k line")
     if source is None:
         raise ParseError("missing source line")
-    if sorted(paths) != list(range(k)):
+    if k > len(paths) or sorted(paths) != list(range(k)):  # k may be huge
         raise ParseError(f"expected paths 0..{k - 1}, got {sorted(paths)}")
     return TemporalKPathGraph(
         k, tuple(paths[i] for i in range(k)), source, source_path_id
@@ -357,7 +377,7 @@ def _parse_path_line(fields: list[str]) -> tuple[int, BasePath]:
         m = _ARROW.match(tokens[i])
         if not m:
             raise ParseError(f"path {pid}: expected -<label>-> at {tokens[i]!r}")
-        labels.append(int(m.group(1)))
+        labels.append(_parse_int(m.group(1), f"path {pid} label"))
         vertices.append(tokens[i + 1])
     return pid, BasePath(pid, tuple(vertices), tuple(labels))
 

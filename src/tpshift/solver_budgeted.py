@@ -4,7 +4,7 @@ Every solver here spends at most b cost units on delay (+) or advance (-)
 shifts, with propagation along each path free of charge, and reports how
 much of the graph the source can then reach.
 
-solve_xp_by_b       exhaustive reference: scores every net shift vector of cost <= b
+solve_xp_by_b       exhaustive reference: scores net shift vectors of cost <= b
 solve_xp_by_k       enumerates switch-vertex-sets, prices each exactly
 solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
@@ -36,6 +36,7 @@ from .graph_core import (
     reach_set,
     reach_with_labels,
     shift_labels,
+    static_reach,
 )
 from .ilp_mini import _lex_search
 from .switch_structures import (
@@ -169,9 +170,16 @@ def solve_xp_by_b(
     order): a multiset with u units comes after all with fewer, and its net
     vector first appears as the one multiset with u = cost and no unit
     cancelling another. Ties (equal reach and cost) therefore go to the same
-    vector as in that stream: the first seen. limit_states caps the number
-    of vectors, net_vector_count. Slow by design; the other solvers are
-    measured against it.
+    vector as in that stream: the first seen.
+
+    The scan stops once the best vector reaches C, the size of s's reach in
+    the static digraph of path edges (static_reach). No labeling reaches
+    more, and a best vector is replaced only by a strictly greater
+    (reach, -cost); every later vector costs at least as much, so none can
+    replace one that reaches C. limit_states still caps the number of
+    vectors, net_vector_count, counted up front whether or not the scan
+    would stop early. Where C is never reached the scan is full: slow by
+    design, as the other solvers are measured against it.
     """
     _check_budget(b)
     if all(path.find(s) is None for path in graph.paths):
@@ -189,6 +197,7 @@ def solve_xp_by_b(
     for path in graph.paths:
         spans.append((path.labels, start, start + path.edge_count(), {}))
         start += path.edge_count()
+    ceiling = len(static_reach(graph.paths, s))
     best: tuple[int, int] | None = None
     best_vector: tuple[int, ...] = ()
     for vector in _net_vectors(len(edges), b, mode):
@@ -202,6 +211,8 @@ def solve_xp_by_b(
         score = (len(reach_with_labels(graph.paths, labels, s)), -sum(map(abs, vector)))
         if best is None or score > best:
             best, best_vector = score, vector
+            if score[0] == ceiling:
+                break
     assert best is not None  # the zero vector always exists
     ops = _canonical_ops({key: d for key, d in zip(edges, best_vector) if d})
     shifted, cost = apply_sequence(graph, ops)

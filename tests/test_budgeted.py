@@ -34,6 +34,7 @@ from tpshift.graph_core import (
     normalize_source,
     reach_set,
 )
+from tpshift import solver_budgeted
 from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
     DEFAULT_STATE_LIMIT,
@@ -234,6 +235,79 @@ class TestXpByB:
                     assert solve_xp_by_b(h, source, b, mode) == best_by_multisets(
                         h, source, b, mode
                     ), (source, mode, b)
+
+
+@pytest.fixture
+def vectors_taken(monkeypatch):
+    """A list whose one entry counts the net vectors solve_xp_by_b takes."""
+    taken = [0]
+    stream = solver_budgeted._net_vectors
+
+    def counting(*args):
+        for vector in stream(*args):
+            taken[0] += 1
+            yield vector
+
+    monkeypatch.setattr(solver_budgeted, "_net_vectors", counting)
+    return taken
+
+
+class TestXpByBStopsAtTheStaticReach:
+    """xp-b stops once its best vector reaches all the source's static reach."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reached_by_the_zero_vector(self, vectors_taken, mode):
+        g = graph_of(path(0, "s a b", (0, 5)), path(1, "a c", (6,)))
+        sol = solve_xp_by_b(g, "s", 3, mode)
+        assert sol.ops == () and sol.reached == frozenset("sabc")
+        assert vectors_taken == [1]
+
+    def test_first_reached_above_cost_zero(self, vectors_taken, i1):
+        # at cost 1, -1 on edge (0, 0) comes third and reaches all four
+        # vertices; +1 on edge (1, 0) comes later, reaches them too, and loses
+        later = apply_sequence(i1, (ShiftOperation(1, 0, 1),))[0]
+        assert reach_set(later, "s") == {"s", "a", "b", "y"}
+        for b in (1, 2, 3):
+            vectors_taken[0] = 0
+            sol = solve_xp_by_b(i1, "s", b, Mode.SHIFT)
+            assert sol.ops == (ShiftOperation(0, 0, -1),)
+            assert sol.reached == frozenset("saby")
+            assert vectors_taken == [3]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_never_reached_scans_every_vector(self, vectors_taken, mode):
+        # s reaches a at 5 and a -> b runs at 1: moving them apart takes five units
+        g = graph_of(path(0, "s a", (5,)), path(1, "a b", (1,)))
+        sol = solve_xp_by_b(g, "s", 4, mode)
+        assert sol.ops == () and sol.reached == frozenset("sa")
+        assert vectors_taken == [net_vector_count(2, 4, mode)]
+        # five units do reach it, so only the budget keeps it out of reach
+        assert solve_xp_by_b(g, "s", 5, mode).reached == frozenset("sab")
+
+    def test_saturated_budgets_take_few_vectors(self, vectors_taken):
+        # test_03's instances: their full scans run to 8,361-29,961 vectors
+        taken = []
+        for seed in range(10):
+            g = gen_random(2, 3, 3, 0.5 + 0.04 * seed, seed)
+            labels = [t for p in g.paths for t in p.labels]
+            budget = g.k * (max(labels) - min(labels) + g.total_edges())
+            vectors_taken[0] = 0
+            solve_xp_by_b(g, "s", budget, Mode.SHIFT)
+            assert net_vector_count(g.total_edges(), budget, Mode.SHIFT) >= 8361
+            taken.append(vectors_taken[0])
+        assert taken == [105, 105, 1, 1, 17, 1, 29, 1, 17, 17]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stopping_changes_no_solution(self, monkeypatch, seed):
+        g = small_graph(seed, k=2 + seed % 2, share_prob=0.4 + 0.1 * (seed % 4))
+        budgets = range(4)
+        stopped = {
+            (mode, b): solve_xp_by_b(g, "s", b, mode) for mode in MODES for b in budgets
+        }
+        # a ceiling of 0 is never reached, so every scan is full
+        monkeypatch.setattr(solver_budgeted, "static_reach", lambda paths, s: ())
+        for (mode, b), sol in stopped.items():
+            assert solve_xp_by_b(g, "s", b, mode) == sol, (mode, b)
 
 
 class TestMinCostForSvs:

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_of, path
 from tpshift import cli
@@ -155,7 +167,8 @@ class TestSolve:
     @pytest.mark.parametrize("mode, count", [("shift", 41), ("delay", 15)])
     def test_xp_b_limit_counts_net_vectors(self, tmp_path, capsys, i1_file, mode, count):
         # i1 has 4 edges; at b=2 that is 41 net shift vectors (45 unit
-        # multisets) in shift mode and C(4 + 2, 2) = 15 in delay mode
+        # multisets) in shift mode and C(4 + 2, 2) = 15 in delay mode. The
+        # scan stops after 3 or 4 of them, but the limit counts them all.
         args = ["solve", str(i1_file), "--algo", "xp-b", "--budget", "2", "--mode", mode]
         assert main([*args, "--limit-states", str(count)]) == 0
         assert main([*args, "--limit-states", str(count - 1)]) == 4
@@ -468,3 +481,96 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestInstanceHash:
+    def test_importing_the_cli_leaves_openssl_unloaded(self):
+        code = "import sys, tpshift.cli; print('_hashlib' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        ).stdout
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("size", [0, 1, 5000])
+    def test_digest_matches_hashlib(self, size):
+        data = random.Random(size).randbytes(size)
+        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+_HUGE = (b"9" * 5000, str(10**30).encode(), str(2**63).encode(), b"-" + str(10**30).encode())
+_WRONG_TOKENS = (
+    b"", b"x", b"1.5", b"-", b"->", b"-a->", b"--->", b"-1.5->", b"None", b"[]",
+    b":", b"path", b"0", b"3", b"-1",
+)
+_NOT_UTF8 = (b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80abc")
+
+
+@st.composite
+def malformed_instances(draw) -> bytes:
+    """I1_TEXT after a few cuts, wrong or huge tokens, stray bytes or repeated lines."""
+    lines = I1_TEXT.encode().splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            lines.append(b"")
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "drop", "repeat", "token", "huge", "bytes"]))
+        if kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(min_value=0, max_value=len(lines[i])))]
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":  # a path line twice is a duplicate path id
+            lines.insert(i, lines[i])
+        elif kind == "token":
+            tokens = lines[i].split(b" ")
+            j = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(_WRONG_TOKENS))
+            lines[i] = b" ".join(tokens)
+        elif kind == "huge":  # one integer of a line, a label or k say, made huge
+            numbered = [
+                n for n, line in enumerate(lines)
+                if re.search(rb"\d", line) and not line.startswith(b"kpathgraph")
+            ]
+            if numbered:
+                n = draw(st.sampled_from(numbered))
+                runs = list(re.finditer(rb"\d+", lines[n]))
+                run = draw(st.sampled_from(runs))
+                line = lines[n]
+                lines[n] = line[: run.start()] + draw(st.sampled_from(_HUGE)) + line[run.end() :]
+        else:
+            stray = draw(st.one_of(st.sampled_from(_NOT_UTF8), st.binary(max_size=8)))
+            lines[i] = lines[i] + stray
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+
+class TestMalformedInstances:
+    """Bad instance bytes end in an exit code, never in a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(I1_TEXT.replace("-1->", f"-{'9' * 5000}->", 1).encode(), "xp-k", "shift", 1)
+    @example(I1_TEXT.replace("k 2", f"k {10**30}").encode(), "xp-k", "shift", 1)
+    @given(
+        malformed_instances(),
+        st.sampled_from(["xp-b", "xp-k", "fpt-delay", "fpt-general", "unbounded"]),
+        st.sampled_from(["delay", "advance", "shift"]),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_solve_and_verify_exit_cleanly(self, data, algo, mode, budget):
+        with tempfile.TemporaryDirectory() as tmp:
+            good, bad, sol = (Path(tmp) / name for name in ("i1.kpg", "bad.kpg", "sol.json"))
+            good.write_text(I1_TEXT)
+            bad.write_bytes(data)
+            runs = [
+                ["solve", str(good), "--algo", "xp-k", "--budget", "1", "--output", str(sol)],
+                ["solve", str(bad), "--algo", algo, "--mode", mode, "--budget", str(budget)],
+                ["verify", str(bad), str(sol)],
+            ]
+            for argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                assert rc in {0, 1, 2, 3, 4}, (argv, rc)
+                assert "Traceback" not in err.getvalue()

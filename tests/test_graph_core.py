@@ -25,6 +25,7 @@ from tpshift.graph_core import (
     parse_instance,
     reach_set,
     slack,
+    static_reach,
     validate,
     write_instance,
 )
@@ -242,6 +243,32 @@ class TestReachSet:
         assert reach_set(g, "s") == brute_reach(g, "s")
 
 
+class TestStaticReach:
+    def test_follows_edges_forward_only(self, i1):
+        # x -> a is an edge, but only into a; labels would stop s at a
+        assert static_reach(i1.paths, "s") == {"s", "a", "b", "y"}
+        assert static_reach(i1.paths, "x") == {"x", "a", "b", "y"}
+        assert static_reach(i1.paths, "y") == {"y"}
+
+    def test_ignores_labels(self):
+        g = graph_of(path(0, "s a", (9,)), path(1, "a b", (1,)))
+        assert reach_set(g, "s") == {"s", "a"}
+        assert static_reach(g.paths, "s") == {"s", "a", "b"}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_holds_every_shifted_reach(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        g = gen_random(2 + seed % 3, 4, 10, 0.6, seed=200 + seed)
+        ceiling = static_reach(g.paths, "s")
+        for _ in range(20):
+            pid = rng.randrange(g.k)
+            ei = rng.randrange(g.paths[pid].edge_count())
+            g = apply_shift(g, ShiftOperation(pid, ei, rng.randint(-6, 6)))
+            assert reach_set(g, "s") <= ceiling
+
+
 class TestNormalization:
     def test_already_normalized_is_untouched(self, i1):
         assert normalize_source(i1, "s", 3) is i1
@@ -323,6 +350,19 @@ class TestTextFormat:
     def test_path_ids_must_cover_range(self):
         with pytest.raises(ParseError):
             parse_instance("kpathgraph v1\nk 2\nsource s\npath 0 : s -0-> a\n")
+
+    @pytest.mark.parametrize("k", [str(10**30), str(2**63), "9" * 5000])
+    def test_huge_k_is_a_parse_error(self, k):
+        with pytest.raises(ParseError):
+            parse_instance(f"kpathgraph v1\nk {k}\nsource s\npath 0 : s -0-> a\n")
+
+    def test_label_past_the_integer_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_instance(f"kpathgraph v1\nk 1\nsource s\npath 0 : s -{'9' * 5000}-> a\n")
+
+    def test_huge_labels_parse(self):
+        g = parse_instance(f"kpathgraph v1\nk 1\nsource s\npath 0 : s -{10**30}-> a\n")
+        assert g.paths[0].labels == (10**30,)
 
     def test_missing_k(self):
         with pytest.raises(ParseError):
