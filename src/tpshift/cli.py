@@ -40,6 +40,7 @@ from .instances import gen_mcis_delay_gadget, gen_random, parse_mcis
 from .solver_budgeted import (
     DEFAULT_STATE_LIMIT,
     DEFAULT_SVS_LIMIT,
+    BudgetedSolution,
     solve_fixed_spt,
     solve_fpt_delay,
     solve_fpt_general,
@@ -107,15 +108,27 @@ def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
 
 
 def _state_limit(args: argparse.Namespace) -> int | None:
-    if args.limit_states is not None:
-        return args.limit_states
-    env = os.environ.get("TPSHIFT_LIMIT_STATES")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"TPSHIFT_LIMIT_STATES={env!r} is not an integer") from None
+    """--limit-states, else TPSHIFT_LIMIT_STATES, else None; never negative."""
+    limit = args.limit_states
+    if limit is None:
+        env = os.environ.get("TPSHIFT_LIMIT_STATES")
+        if env is None:
+            return None
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ParameterError(f"TPSHIFT_LIMIT_STATES={env!r} is not an integer") from None
+    if limit < 0:
+        raise ParameterError(f"state limit must be >= 0, got {limit}")
+    return limit
+
+
+def _emit(text: str, output: str | None) -> None:
+    """Write text to the --output file, or to stdout without one."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_spt_flag(text: str) -> SwitchPathTree:
@@ -141,11 +154,15 @@ def _spt_text(spt: SwitchPathTree) -> str:
     return ",".join(f"{c}:{p}" for c, p in spt.parents) or "-"
 
 
+def _ordered(svs: SwitchVertexSet) -> list[Switch]:
+    """The switches by target path, then source path, then vertex."""
+    return sorted(svs.switches, key=lambda sw: (sw.to_path, sw.from_path, sw.vertex))
+
+
 def _svs_text(svs: SwitchVertexSet) -> str:
     if not svs.switches:
         return "empty"
-    ordered = sorted(svs.switches, key=lambda sw: (sw.to_path, sw.from_path, sw.vertex))
-    return " ".join(f"{sw.vertex}:{sw.from_path}->{sw.to_path}" for sw in ordered)
+    return " ".join(f"{sw.vertex}:{sw.from_path}->{sw.to_path}" for sw in _ordered(svs))
 
 
 def _relabel_ops(
@@ -166,38 +183,27 @@ def _relabel_ops(
 
 
 def _doc(
-    *,
-    sha: str,
-    algo: str,
-    mode: str,
-    budget: int | None,
-    ops: Sequence[ShiftOperation],
-    cost: int,
-    reached: Any,
-    witness: SwitchVertexSet | None,
-    started: float,
+    sha: str, algo: str, mode: Mode, budget: int | None, sol: BudgetedSolution, started: float
 ) -> dict[str, Any]:
+    """The solution document for sol; wall_time_ms counts from started."""
     witness_json = None
-    if witness is not None:
-        ordered = sorted(
-            witness.switches, key=lambda sw: (sw.to_path, sw.from_path, sw.vertex)
-        )
+    if sol.witness_svs is not None:
         witness_json = [
             {"vertex": sw.vertex, "from_path": sw.from_path, "to_path": sw.to_path}
-            for sw in ordered
+            for sw in _ordered(sol.witness_svs)
         ]
     return {
         "format": DOC_FORMAT,
         "instance_sha256": sha,
         "algo": algo,
-        "mode": mode,
+        "mode": mode.value,
         "budget": budget,
         "ops": [
             {"path": op.path_id, "edge_index": op.edge_index, "delta": op.delta}
-            for op in ops
+            for op in sol.ops
         ],
-        "cost": cost,
-        "reached": sorted(reached),
+        "cost": sol.cost,
+        "reached": sorted(sol.reached),
         "witness_svs": witness_json,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
     }
@@ -211,23 +217,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         g = normalize_source(graph, graph.source, 0)
         temp = solve_mrpt(g.paths, g.source)
         ops = _relabel_ops(g, temp.labels)
-        doc = _doc(
-            sha=sha,
-            algo=args.algo,
-            mode=Mode.SHIFT.value,
-            budget=None,
-            ops=ops,
-            cost=sum(op.cost for op in ops),
-            reached=temp.reached,
-            witness=temp.svs,
-            started=started,
-        )
+        mode, budget = Mode.SHIFT, None
+        sol = BudgetedSolution(ops, sum(op.cost for op in ops), temp.reached, temp.svs)
     else:
         if args.budget < 0:
             raise ParameterError(f"budget must be >= 0, got {args.budget}")
-        mode = Mode(args.mode)
-        g = normalize_source(graph, graph.source, args.budget)
-        s, b = g.source, args.budget
+        mode, budget = Mode(args.mode), args.budget
+        g = normalize_source(graph, graph.source, budget)
+        s, b = g.source, budget
         state_limit = DEFAULT_STATE_LIMIT if limit is None else limit
         svs_limit = DEFAULT_SVS_LIMIT if limit is None else limit
         if args.algo == "xp-b":
@@ -246,22 +243,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             spt = _parse_spt_flag(args.spt)
             sol = solve_fixed_spt(g, s, b, mode, spt, limit_svss=svs_limit)
         assert sol is not None
-        doc = _doc(
-            sha=sha,
-            algo=args.algo,
-            mode=mode.value,
-            budget=b,
-            ops=sol.ops,
-            cost=sol.cost,
-            reached=sol.reached,
-            witness=sol.witness_svs,
-            started=started,
-        )
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    doc = _doc(sha, args.algo, mode, budget, sol, started)
+    _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -399,22 +382,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gen_random(args: argparse.Namespace) -> int:
     graph = gen_random(args.k, args.n, args.lifetime, args.share_prob, args.seed)
-    text = write_instance(graph)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_instance(graph), args.output)
     return EXIT_OK
 
 
 def cmd_gen_mcis(args: argparse.Namespace) -> int:
     mcis = parse_mcis(_decode(Path(args.mcis_file).read_bytes(), "MCIS file"))
     gadget = gen_mcis_delay_gadget(mcis, args.omega)
-    text = write_instance(gadget.graph)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_instance(gadget.graph), args.output)
     print(f"budget {gadget.budget}", file=sys.stderr)
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph_core import (
     AddressingError,
@@ -45,6 +45,9 @@ from .switch_structures import (
     SwitchPathTree,
     SwitchVertexSet,
     _all_reach_root,
+    _all_temporal,
+    _sites_of,
+    _suffix_union_at,
     _valid_site_sets,
     enumerate_spts,
     is_valid_svs,
@@ -233,19 +236,15 @@ def min_cost_for_svs(
     exactly (including delays eating slack and advances dragging earlier
     edges along), so the returned cost matches brute force. None means no
     assignment within b exists. This is the guarded entry: it checks the
-    set, finds each switch's positions and prices them with _price_sites,
-    the one model builder, which xp-k and fixed-spt call directly because
-    their sets are valid by construction and come with their positions.
+    set, takes its sites from _sites_of, as is_valid_svs does, and prices
+    them with _price_sites, the one model builder, which xp-k and fixed-spt
+    call directly because their sets are valid by construction and come
+    as sites.
     """
     _check_budget(b)
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
-    paths = graph.paths
-    sites = sorted(
-        ((sw.from_path, paths[sw.from_path].find(sw.vertex),
-          sw.to_path, paths[sw.to_path].find(sw.vertex)) for sw in svs.switches),
-        key=itemgetter(2),
-    )
+    sites = _sites_of(graph, svs)
     return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b)
 
 
@@ -380,22 +379,6 @@ def _price_sites(
 _Candidate = tuple[tuple[ShiftOperation, ...], int, tuple[Site, ...]]
 
 
-def _suffix_union_at(
-    graph: TemporalKPathGraph, s: Vertex
-) -> Callable[[Iterable[Site]], set[Vertex]]:
-    """suffix_union from s of the switch set at the given sites, read off the sites."""
-    vertices = [path.vertices for path in graph.paths]
-    base = graph.source_path.vertices[graph.source_path.find(s) :]
-
-    def union(sites: Iterable[Site]) -> set[Vertex]:
-        out = set(base)
-        for _, _, c, pos_c in sites:
-            out.update(vertices[c][pos_c:])
-        return out
-
-    return union
-
-
 def _best_priced(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -475,11 +458,6 @@ def _shifted_labels(
     for op in ops:
         labels[op.path_id] = shift_labels(labels[op.path_id], op.edge_index, op.delta)
     return labels
-
-
-def _all_temporal(labels: list[tuple[int, ...]], sites: Iterable[Site]) -> bool:
-    """is_temporal_switch for the switch at each site, under the given labels."""
-    return all(labels[p][pos_p - 1] < labels[c][pos_c] for p, pos_p, c, pos_c in sites)
 
 
 def solve_xp_by_k(
@@ -632,11 +610,7 @@ def _delay_guesses(
             sites = place_switches(graph, order, pos_s, first_fit)
             if sites is None:
                 continue
-            ops = tuple(
-                ShiftOperation(child, pos_c, delay[child])
-                for child, pos_c in sorted((c, pos_c) for _, _, c, pos_c in sites)
-                if delay[child]
-            )
+            ops = _canonical_ops({(c, pos_c): delay[c] for _, _, c, pos_c in sites if delay[c]})
             # the fit test is the temporality condition, verbatim
             assert _all_temporal(_shifted_labels(graph, ops), sites)
             yield ops, sum(split), tuple(sites)
@@ -774,10 +748,8 @@ def _general_survivors(
         left = b - spent
         for delay in range(left + 1) if allow_delay else (0,):
             for carried in range(delay_cap + 1) if allow_delay else (0,):
-                if carried > 0:
+                if carried > 0 or last or not allow_advance:
                     arrive_opts = (0,)  # a delayed edge takes no advance
-                elif last or not allow_advance:
-                    arrive_opts = (0,)
                 else:
                     arrive_opts = range(-b, 1)
                 for arriving in arrive_opts:

@@ -89,44 +89,67 @@ def _switch_edge_positions(
     return pf, pt
 
 
+Site = tuple[int, int, int, int]  # (parent, pos on parent, child, pos on child)
+
+
+def _sites_of(graph: TemporalKPathGraph, svs: SwitchVertexSet) -> list[Site] | None:
+    """The set's sites sorted by child, or None if a switch is not structural."""
+    sites = []
+    for sw in svs.switches:
+        pos = _switch_edge_positions(graph, sw)
+        if pos is None:
+            return None
+        sites.append((sw.from_path, pos[0], sw.to_path, pos[1]))
+    return sorted(sites, key=lambda site: site[2])
+
+
+def _suffix_union_at(
+    graph: TemporalKPathGraph, s: Vertex
+) -> Callable[[Iterable[Site]], set[Vertex]]:
+    """suffix_union from s of the switch set at the given sites, read off the sites."""
+    start = graph.source_path.find(s)
+    if start is None:
+        raise ValidityError(f"{s!r} not on the source path")
+    vertices = [path.vertices for path in graph.paths]
+    base = graph.source_path.vertices[start:]
+
+    def union(sites: Iterable[Site]) -> set[Vertex]:
+        out = set(base)
+        for _, _, c, pos_c in sites:
+            out.update(vertices[c][pos_c:])
+        return out
+
+    return union
+
+
+def _all_temporal(labels: Sequence[tuple[int, ...]], sites: Iterable[Site]) -> bool:
+    """is_temporal_switch for the switch at each site, under the given labels."""
+    return all(labels[p][pos_p - 1] < labels[c][pos_c] for p, pos_p, c, pos_c in sites)
+
+
 def is_temporal_switch(graph: TemporalKPathGraph, sw: Switch) -> bool:
     """True iff the label into v on from_path is below the label out on to_path."""
     pos = _switch_edge_positions(graph, sw)
     if pos is None:
         raise ValidityError(f"structurally invalid switch {sw}")
-    pf, pt = pos
-    return graph.paths[sw.from_path].labels[pf - 1] < graph.paths[sw.to_path].labels[pt]
+    labels = [path.labels for path in graph.paths]
+    return _all_temporal(labels, [(sw.from_path, pos[0], sw.to_path, pos[1])])
 
 
 def is_valid_svs(graph: TemporalKPathGraph, svs: SwitchVertexSet) -> bool:
     """Structural validity of a switch-vertex-set. Ignores labels entirely."""
-    onto: dict[int, Switch] = {}
-    positions: dict[Switch, tuple[int, int]] = {}
-    for sw in svs.switches:
-        pos = _switch_edge_positions(graph, sw)
-        if pos is None:
-            return False
-        positions[sw] = pos
-        if sw.to_path in onto:
-            return False  # at most one switch onto each path
-        if sw.to_path == graph.source_path_id:
-            return False
-        onto[sw.to_path] = sw
-    src = graph.source_path_id
-    if not _all_reach_root({p: sw.from_path for p, sw in onto.items()}, src):
-        return False  # transitions must chain back to the source path
-    source_pos = graph.paths[src].find(graph.source)
-    if source_pos is None:
+    sites = _sites_of(graph, svs)
+    if sites is None:
         return False
-    for sw in svs.switches:
-        if sw.from_path == src:
-            anchor = source_pos
-        else:
-            anchor = positions[onto[sw.from_path]][1]
-        # off strictly after on: a journey must traverse the edge into v
-        if positions[sw][0] <= anchor:
-            return False
-    return True
+    src = graph.source_path_id
+    anchor = {c: pos_c for _, _, c, pos_c in sites}  # where each path is boarded
+    if len(anchor) < len(sites) or src in anchor:
+        return False  # at most one switch onto each path, none onto the source path
+    if not _all_reach_root({c: p for p, _, c, _ in sites}, src):
+        return False  # transitions must chain back to the source path
+    anchor[src] = graph.paths[src].find(graph.source)
+    # off strictly after on: a journey must traverse the edge into v
+    return anchor[src] is not None and all(pos_p > anchor[p] for p, pos_p, _, _ in sites)
 
 
 def suffix_union(
@@ -137,15 +160,12 @@ def suffix_union(
     This is the reach the switch set would deliver if every switch were
     temporal; no labels are consulted.
     """
-    src_path = graph.source_path
-    start = src_path.find(s)
-    if start is None:
-        raise ValidityError(f"{s!r} not on the source path")
-    out = set(src_path.vertices[start:])
-    for sw in svs.switches:
-        to = graph.paths[sw.to_path]
-        out.update(to.vertices[to.vertices.index(sw.vertex):])
-    return out
+    union = _suffix_union_at(graph, s)
+    # the union reads only each site's child and the switch's position there
+    return union(
+        (sw.from_path, 0, sw.to_path, graph.paths[sw.to_path].vertices.index(sw.vertex))
+        for sw in svs.switches
+    )
 
 
 def svs_reachability(
@@ -228,9 +248,6 @@ def root_first(
 
 
 SlotTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
-Site = tuple[int, int, int, int]  # (parent, pos on parent, child, pos on child)
-
-
 def switch_slots(
     graph: TemporalKPathGraph, pairs: Iterable[tuple[int, int]] | None = None
 ) -> SlotTable:

@@ -32,6 +32,8 @@ from tpshift.switch_structures import (
     Switch,
     SwitchPathTree,
     SwitchVertexSet,
+    _all_reach_root,
+    _switch_edge_positions,
     enumerate_spts,
     implied_spt,
     is_temporal_switch,
@@ -815,4 +817,56 @@ def _place_chain(
                 break
         if not done:
             return None
+    return out
+
+
+def is_valid_svs_by_switches(graph: TemporalKPathGraph, svs: SwitchVertexSet) -> bool:
+    """is_valid_svs written switch by switch, each switch's positions found on its own.
+
+    The reference for is_valid_svs, which reads the same rules off the set's sites.
+    """
+    onto: dict[int, Switch] = {}
+    positions: dict[Switch, tuple[int, int]] = {}
+    for sw in svs.switches:
+        pos = _switch_edge_positions(graph, sw)
+        if pos is None:
+            return False
+        positions[sw] = pos
+        if sw.to_path in onto:
+            return False  # at most one switch onto each path
+        if sw.to_path == graph.source_path_id:
+            return False
+        onto[sw.to_path] = sw
+    src = graph.source_path_id
+    if not _all_reach_root({p: sw.from_path for p, sw in onto.items()}, src):
+        return False  # transitions must chain back to the source path
+    source_pos = graph.paths[src].find(graph.source)
+    if source_pos is None:
+        return False
+    for sw in svs.switches:
+        if sw.from_path == src:
+            anchor = source_pos
+        else:
+            anchor = positions[onto[sw.from_path]][1]
+        # off strictly after on: a journey must traverse the edge into v
+        if positions[sw][0] <= anchor:
+            return False
+    return True
+
+
+def suffix_union_by_switches(
+    graph: TemporalKPathGraph, svs: SwitchVertexSet, s: Vertex
+) -> set[Vertex]:
+    """suffix_union written switch by switch, with list.index on each target path.
+
+    The reference for suffix_union, which reads the union off the set's sites.
+    """
+    src_path = graph.source_path
+    start = src_path.find(s)
+    if start is None:
+        raise ValidityError(f"{s!r} not on the source path")
+    out = set(src_path.vertices[start:])
+    for sw in svs.switches:
+        to = graph.paths[sw.to_path]
+        out.update(to.vertices[to.vertices.index(sw.vertex):])
     return out

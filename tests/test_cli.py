@@ -221,6 +221,22 @@ class TestSolve:
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "abc")
         assert main(["solve", str(i1_file), "--algo", "xp-b", "--budget", "2"]) == 2
 
+    def test_negative_state_limit_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "r.kpg"
+        assert main(["gen", "random", "--k", "3", "--n", "4", "--seed", "11",
+                     "--output", str(f)]) == 0
+        args = ["solve", str(f), "--algo", "xp-b", "--budget", "2"]
+        assert main([*args, "--limit-states", "-1"]) == 2
+        assert "state limit must be >= 0, got -1" in capsys.readouterr().err
+        monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "-1")
+        assert main(args) == 2
+        assert "state limit must be >= 0, got -1" in capsys.readouterr().err
+        # zero is a valid limit that no scan fits under
+        assert main([*args, "--limit-states", "0"]) == 4
+        monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "0")
+        assert main(args) == 4
+        assert "above the limit of 0" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """main reuses one parser; no call may see another call's values."""

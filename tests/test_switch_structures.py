@@ -5,11 +5,21 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_of, path
-from oracles import enumerate_svss_by_filtering, slots_by_find, svs_respecting_reach
+from conftest import MODES, graph_of, path
+from oracles import (
+    enumerate_svss_by_filtering,
+    is_valid_svs_by_switches,
+    min_cost_for_svs_by_names,
+    slots_by_find,
+    suffix_union_by_switches,
+    svs_respecting_reach,
+)
 from tpshift.graph_core import ParameterError, ShiftOperation, ValidityError, apply_shift, reach_set
 from tpshift.instances import gen_random
+from tpshift.solver_budgeted import min_cost_for_svs
 from tpshift.switch_structures import (
     EMPTY_SVS,
     Switch,
@@ -336,3 +346,70 @@ class TestSwitchSlots:
         pairs = [(p, c) for p, c in full if (p + c + seed) % 3 == 0]
         assert switch_slots(g, pairs) == {pair: full[pair] for pair in pairs}
         assert switch_slots(g, []) == {}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def _graph_and_switch_sets(draw):
+    """A gen_random graph on 2 to 4 paths, and random switch sets on it.
+
+    A switch takes any vertex of the graph, or one it lacks, and source and
+    target paths from -1 to k, so paths off the graph, the source path as
+    the target and switches at a path's first or last vertex all come up.
+    """
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 4))
+    g = gen_random(k, n, 10, draw(st.sampled_from((0.5, 0.8))), draw(st.integers(0, 10**6)))
+    vertices = sorted({v for p in g.paths for v in p.vertices}) + ["nowhere"]
+    switch = st.builds(Switch, st.sampled_from(vertices), st.integers(-1, k), st.integers(-1, k))
+    return g, draw(st.lists(st.lists(switch, max_size=4).map(make_svs), max_size=6))
+
+
+def _rule_breakers(g):
+    """Sets that each break one rule, whatever the random switches draw."""
+    src, on = g.paths[0].vertices, g.paths[1].vertices  # gen_random puts s first on path 0
+    two = [on[pos_c] for _, pos_c in switch_slots(g)[(0, 1)][:2]] or on[1:3]
+    sets = (
+        [Switch(on[1], 0, g.k)], [Switch(on[1], g.k, 1)], [Switch(on[1], -1, 1)],  # off the graph
+        [Switch(src[1], 1, 0)],  # onto the source path
+        [Switch(v, 0, 1) for v in two],  # two switches onto one path
+        [Switch(on[0], 0, 1)], [Switch(on[-1], 0, 1)], [Switch(src[0], 0, 1)],  # path ends
+    )
+    return [make_svs(sws) for sws in sets]
+
+
+class TestSiteRulesMatchReferences:
+    """is_valid_svs, suffix_union and min_cost_for_svs read switch sets as
+    sites; the references in oracles read them switch by switch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_and_switch_sets(), st.sampled_from(MODES), st.integers(0, 3))
+    def test_sets_get_the_references_answers(self, drawn, mode, b):
+        g, random_sets = drawn
+        valid = list(enumerate_svss(g))
+        joined = [make_svs(v.switches | r.switches) for v in valid for r in random_sets]
+        # a switch off a path at the very vertex that boards it
+        joined += [
+            make_svs({*v.switches, Switch(sw.vertex, sw.to_path, q)})
+            for v in valid
+            for sw in v.switches
+            for q in range(g.k)
+        ]
+        for svs in [*valid, *random_sets, *_rule_breakers(g), *joined]:
+            ok = is_valid_svs(g, svs)
+            assert ok == is_valid_svs_by_switches(g, svs)
+            for start in ("s", g.paths[0].vertices[1], "nowhere"):  # "nowhere" is off the path
+                assert _outcome(suffix_union, g, svs, start) == _outcome(
+                    suffix_union_by_switches, g, svs, start
+                )
+            if ok:
+                assert min_cost_for_svs(g, svs, mode, b) == min_cost_for_svs_by_names(
+                    g, svs, mode, b
+                )
