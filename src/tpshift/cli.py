@@ -88,23 +88,19 @@ def _decode(data: bytes, what: str) -> str:
         raise ParseError(f"{what} is not UTF-8 text: {exc}") from None
 
 
-def _parse_valid(data: bytes) -> TemporalKPathGraph:
-    """The instance in data, parsed and validated."""
-    graph = parse_instance(_decode(data, "instance"))
-    problems = validate(graph)
-    if problems:
-        raise InvalidInstanceError("; ".join(problems))
-    return graph
-
-
 def _sha256_hex(data: bytes) -> str:
     """The hex SHA-256 digest of data, as hashlib.sha256 gives it."""
     return _sha256(data).hexdigest()
 
 
 def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
+    """The instance in the file, parsed and validated, and the file's SHA-256."""
     data = Path(path).read_bytes()
-    return _parse_valid(data), _sha256_hex(data)
+    graph = parse_instance(_decode(data, "instance"))
+    problems = validate(graph)
+    if problems:
+        raise InvalidInstanceError("; ".join(problems))
+    return graph, _sha256_hex(data)
 
 
 def _state_limit(args: argparse.Namespace) -> int | None:
@@ -132,7 +128,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_spt_flag(text: str) -> SwitchPathTree:
+    """The tree "child:parent,..." names; a lone "-" (as _spt_text writes it) or
+    nothing is the root-only tree."""
     parents: dict[int, int] = {}
+    if text.strip() == "-":
+        return SwitchPathTree(())
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -242,7 +242,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 raise ParameterError("--algo fixed-spt requires --spt")
             spt = _parse_spt_flag(args.spt)
             sol = solve_fixed_spt(g, s, b, mode, spt, limit_svss=svs_limit)
-        assert sol is not None
     doc = _doc(sha, args.algo, mode, budget, sol, started)
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
@@ -291,8 +290,7 @@ def _doc_entries(doc: dict[str, Any], key: str, fields: _FieldTypes) -> list[lis
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    data = Path(args.instance).read_bytes()
-    graph = _parse_valid(data)
+    graph, sha = _load_instance(args.instance)
     try:
         doc = json.loads(Path(args.solution).read_text())
     except ValueError as exc:  # bad JSON, or bytes that are not text
@@ -325,7 +323,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"FAIL {name}" + (f": {detail}" if detail else ""))
 
-    sha = _sha256_hex(data)
     report(
         "instance-hash",
         doc["instance_sha256"] == sha,
@@ -394,25 +391,18 @@ def cmd_gen_mcis(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_enum_spt(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ParameterError(f"need k >= 1, got {args.k}")
+def cmd_enum(args: argparse.Namespace) -> int:
+    """Print each tree or switch set with --list, then how many there are."""
+    if args.what == "spt":
+        if args.k < 1:
+            raise ParameterError(f"need k >= 1, got {args.k}")
+        items, text = enumerate_spts(args.k, include_partial=args.partial), _spt_text
+    else:
+        items, text = enumerate_svss(_load_instance(args.instance)[0]), _svs_text
     count = 0
-    for spt in enumerate_spts(args.k, include_partial=args.partial):
-        count += 1
+    for count, item in enumerate(items, 1):
         if args.list:
-            print(_spt_text(spt))
-    print(count)
-    return EXIT_OK
-
-
-def cmd_enum_svs(args: argparse.Namespace) -> int:
-    graph, _ = _load_instance(args.instance)
-    count = 0
-    for svs in enumerate_svss(graph):
-        count += 1
-        if args.list:
-            print(_svs_text(svs))
+            print(text(item))
     print(count)
     return EXIT_OK
 
@@ -476,11 +466,11 @@ def _build_parser() -> argparse.ArgumentParser:
     es.add_argument("--k", type=int, required=True)
     es.add_argument("--partial", action="store_true", help="include non-spanning trees")
     es.add_argument("--list", action="store_true")
-    es.set_defaults(func="cmd_enum_spt")
+    es.set_defaults(func="cmd_enum")
     ev = esub.add_parser("svs", help="valid switch vertex sets of an instance")
     ev.add_argument("instance")
     ev.add_argument("--list", action="store_true")
-    ev.set_defaults(func="cmd_enum_svs")
+    ev.set_defaults(func="cmd_enum")
     return parser
 
 

@@ -429,15 +429,12 @@ def _best_priced(
 def _keep_best(
     graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
 ) -> _Candidate | None:
-    """The candidate whose suffixes cover the most (ties: cheaper, then first seen)."""
+    """The candidate whose suffixes cover the most (ties: cheaper, then first seen).
+
+    max returns the first of several maximal items: the first-seen rule.
+    """
     union = _suffix_union_at(graph, s)
-    best_key: tuple[int, int] | None = None
-    best = None
-    for cand in candidates:
-        key = (len(union(cand[2])), -cand[1])
-        if best_key is None or key > best_key:
-            best_key, best = key, cand
-    return best
+    return max(candidates, key=lambda c: (len(union(c[2])), -c[1]), default=None)
 
 
 def _replayed(
@@ -489,18 +486,20 @@ def solve_fixed_spt(
     b: int,
     mode: Mode,
     spt: SwitchPathTree,
-    empty_fallback: bool = True,
     limit_svss: int = DEFAULT_SVS_LIMIT,
-) -> BudgetedSolution | None:
+) -> BudgetedSolution:
     """Best solution whose switches realize exactly the given path tree.
 
     reached is what the tree itself guarantees (the union of opened path
     suffixes), not the incidental reach of the shifted graph. If no
     affordable switch set induces the tree, returns the bare source-path
-    suffix, or None when empty_fallback is off. limit_svss counts only the
-    switch sets of this tree. As in solve_xp_by_k, a set that cannot beat
-    the best so far on (reach, -cost) is skipped or priced within a budget
-    one below the best cost, which changes no answer.
+    suffix with no ops and an empty witness; it never returns None. For a
+    tree with edges that fallback is readable as spt.parents and not
+    sol.witness_svs.switches, since a set inducing the tree has one switch
+    per edge. limit_svss counts only the switch sets of this tree. As in
+    solve_xp_by_k, a set that cannot beat the best so far on (reach, -cost)
+    is skipped or priced within a budget one below the best cost, which
+    changes no answer.
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -516,11 +515,7 @@ def solve_fixed_spt(
 
     slots = switch_slots(graph, [(parent, child) for child, parent in spt.parents])
     best = _best_priced(graph, s, tree_sites(graph, spt, slots), mode, b, limit_svss)
-    if best is None:
-        if not empty_fallback:
-            return None
-        best = ((), 0, ())
-    ops, cost, sites = best
+    ops, cost, sites = best or ((), 0, ())
     reached = frozenset(_suffix_union_at(graph, s)(sites))
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 

@@ -8,7 +8,7 @@ by scanning switch-path-trees and greedily realizing each one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
 from .switch_structures import (
@@ -64,11 +64,11 @@ def best_svs_for_spt(
     return None if sites is None else svs_at(graph, sites)
 
 
-def _spanning_then_partial(k: int, root: int) -> Iterator[SwitchPathTree]:
-    yield from enumerate_spts(k, include_partial=False, root=root)
-    for spt in enumerate_spts(k, include_partial=True, root=root):
-        if len(spt.members(root)) < k:
-            yield spt
+def _spanning_then_partial(k: int, root: int) -> list[SwitchPathTree]:
+    """Every tree under root, the spanning ones (k - 1 edges) first, each in
+    enumerate_spts's order."""
+    trees = enumerate_spts(k, include_partial=True, root=root)
+    return sorted(trees, key=lambda spt: len(spt.parents) < k - 1)  # a stable sort
 
 
 def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
@@ -87,17 +87,14 @@ def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
         )
     src = heads[0]
     graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
-    best: tuple[int, SwitchPathTree, SwitchVertexSet] | None = None
     slots = switch_slots(graph)
-    for spt in _spanning_then_partial(len(paths), src):
-        svs = best_svs_for_spt(graph, s, spt, slots)
-        if svs is None:
-            continue
-        size = len(suffix_union(graph, svs, s))
-        if best is None or size > best[0]:
-            best = (size, spt, svs)
-    assert best is not None  # the root-only tree always realizes
-    _, spt, svs = best
+    realized = (
+        (spt, svs)
+        for spt in _spanning_then_partial(len(paths), src)
+        if (svs := best_svs_for_spt(graph, s, spt, slots)) is not None
+    )
+    # max keeps the first of equal reach; the root-only tree always realizes
+    spt, svs = max(realized, key=lambda tree_svs: len(suffix_union(graph, tree_svs[1], s)))
 
     total = graph.total_edges()
     block = total + 1

@@ -158,14 +158,13 @@ def suffix_union(
     """Vertices covered by the source-path suffix plus each switched-onto suffix.
 
     This is the reach the switch set would deliver if every switch were
-    temporal; no labels are consulted.
+    temporal; no labels are consulted. Raises ValidityError if a switch is
+    not structural (is_valid_svs's first rule) or s is off the source path.
     """
-    union = _suffix_union_at(graph, s)
-    # the union reads only each site's child and the switch's position there
-    return union(
-        (sw.from_path, 0, sw.to_path, graph.paths[sw.to_path].vertices.index(sw.vertex))
-        for sw in svs.switches
-    )
+    sites = _sites_of(graph, svs)
+    if sites is None:
+        raise ValidityError("switch-vertex-set has a switch that is not structural")
+    return _suffix_union_at(graph, s)(sites)
 
 
 def svs_reachability(
@@ -213,12 +212,9 @@ def enumerate_spts(
         subsets = iter([[root, *rest]])
     for members in subsets:
         children = sorted(p for p in members if p != root)
-        if not children:
-            yield SwitchPathTree(())
-            continue
         member_set = sorted(members)
         options = [[p for p in member_set if p != c] for c in children]
-        for parents in product(*options):
+        for parents in product(*options):  # a root-only subset: one empty tree
             mapping = dict(zip(children, parents))
             if _all_reach_root(mapping, root):
                 yield SwitchPathTree(tuple(mapping.items()))

@@ -6,6 +6,8 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MODES, graph_of, path
 from oracles import (
@@ -521,7 +523,6 @@ class TestFixedSpt:
         sol = solve_fixed_spt(i1, "s", 0, Mode.DELAY, spt)
         assert sol.ops == () and sol.witness_svs == EMPTY_SVS
         assert sol.reached == frozenset({"s", "a", "b"})
-        assert solve_fixed_spt(i1, "s", 0, Mode.DELAY, spt, empty_fallback=False) is None
 
     def test_root_only_tree_is_the_baseline(self, i1):
         sol = solve_fixed_spt(i1, "s", 3, Mode.SHIFT, SwitchPathTree(()))
@@ -853,3 +854,35 @@ class TestDelaySplits:
         assert solve_fpt_delay(tight_chain, "s", 2, limit_states=25).cost == 1
         with pytest.raises(ResourceLimitError, match="25 delay guesses"):
             solve_fpt_delay(tight_chain, "s", 2, limit_states=24)
+
+
+@st.composite
+def _small_case(draw):
+    """A gen_random graph on 2 to 4 paths, normalized for a source that is
+    path 0's first or second vertex, with that source, a budget and a mode."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+    lifetime, share_prob = draw(st.integers(8, 10)), draw(st.sampled_from((0.5, 0.8)))
+    g = gen_random(k, n, lifetime, share_prob, draw(st.integers(0, 10**6)))
+    source = g.paths[0].vertices[draw(st.integers(0, 1))]
+    b = draw(st.integers(0, 2))  # fpt-general slows down fast above 2 on mid-path sources
+    return normalize_source(g, source, b), source, b, draw(st.sampled_from(MODES))
+
+
+class TestSolversAgreeWithXpB:
+    """Every exact solver reaches as much as xp-b, at xp-b's cost."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_case())
+    def test_reach_and_cost_match_xp_b(self, case):
+        g, s, b, mode = case
+        want = solve_xp_by_b(g, s, b, mode)
+        xpk = solve_xp_by_k(g, s, b, mode)
+        answers = {
+            "xp-k": xpk,
+            "fpt-general": solve_fpt_general(g, s, b, mode),
+            "fixed-spt": solve_fixed_spt(g, s, b, mode, implied_spt(xpk.witness_svs)),
+        }
+        if mode is Mode.DELAY:
+            answers["fpt-delay"] = solve_fpt_delay(g, s, b)
+        for algo, sol in answers.items():
+            assert (len(sol.reached), sol.cost) == (len(want.reached), want.cost), algo

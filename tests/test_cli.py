@@ -463,6 +463,21 @@ class TestEnum:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["-", "1:0", "2"]
 
+    def test_listed_bare_root_solves_as_the_root_only_tree(self, tmp_path, capsys, i1_file):
+        fixed = ["--algo", "fixed-spt", "--budget", "1"]
+        dash = solve_doc(tmp_path, capsys, i1_file, *fixed, "--spt", "-")
+        empty = solve_doc(tmp_path, capsys, i1_file, *fixed, "--spt", "")
+        del dash["wall_time_ms"], empty["wall_time_ms"]
+        assert dash == empty
+        assert dash["witness_svs"] == [] and dash["reached"] == ["a", "b", "s"]
+
+    @pytest.mark.parametrize("spt", ["1:0,-", "-,1:0", "- -"])
+    def test_a_dash_among_edges_is_a_usage_error(self, capsys, i1_file, spt):
+        # --spt=... so that argparse hands a value starting with "-" to the tree parser
+        args = ["solve", str(i1_file), "--algo", "fixed-spt", "--budget", "1", f"--spt={spt}"]
+        assert main(args) == 2
+        assert "is not child:parent" in capsys.readouterr().err
+
     def test_svs_count_and_list(self, tmp_path, capsys, i1_file):
         assert main(["enum", "svs", str(i1_file)]) == 0
         assert capsys.readouterr().out.strip() == "2"

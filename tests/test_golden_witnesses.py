@@ -74,8 +74,9 @@ def _answers(i: int) -> dict[str, dict]:
         if mode is Mode.DELAY:
             out[f"fpt-delay/{tag}"] = _plain(solve_fpt_delay(g, s, b))
         for spt in trees:
-            sol = solve_fixed_spt(g, s, b, mode, spt, empty_fallback=False)
-            out[f"fixed-spt {spt.parents}/{tag}"] = None if sol is None else _plain(sol)
+            sol = solve_fixed_spt(g, s, b, mode, spt)
+            unrealized = spt.parents and not sol.witness_svs.switches
+            out[f"fixed-spt {spt.parents}/{tag}"] = None if unrealized else _plain(sol)
     return out
 
 

@@ -33,6 +33,7 @@ from tpshift.switch_structures import (
     suffix_union,
     svs_reachability,
     switch_slots,
+    _switch_edge_positions,
 )
 
 
@@ -179,6 +180,19 @@ class TestSuffixUnion:
     def test_start_not_on_source_path(self, i1):
         with pytest.raises(ValidityError):
             suffix_union(i1, EMPTY_SVS, "x")
+
+    @pytest.mark.parametrize(
+        "sw",
+        [
+            Switch("v5", 0, -1),  # path -1: list indexing would read path 2
+            Switch("v5", 0, 3),  # path 3: off this 3-path graph
+            Switch("zz", 0, 1),  # a vertex on no path
+        ],
+    )
+    def test_a_switch_that_is_not_structural_is_rejected(self, sw):
+        g = gen_random(3, 4, 10, 0.8, 5)
+        with pytest.raises(ValidityError):
+            suffix_union(g, make_svs([sw]), "s")
 
 
 class TestSvsReachability:
@@ -405,10 +419,13 @@ class TestSiteRulesMatchReferences:
         for svs in [*valid, *random_sets, *_rule_breakers(g), *joined]:
             ok = is_valid_svs(g, svs)
             assert ok == is_valid_svs_by_switches(g, svs)
+            structural = all(_switch_edge_positions(g, sw) is not None for sw in svs.switches)
             for start in ("s", g.paths[0].vertices[1], "nowhere"):  # "nowhere" is off the path
-                assert _outcome(suffix_union, g, svs, start) == _outcome(
-                    suffix_union_by_switches, g, svs, start
-                )
+                got = _outcome(suffix_union, g, svs, start)
+                if structural:
+                    assert got == _outcome(suffix_union_by_switches, g, svs, start)
+                else:  # the reference answers these by Python's indexing rules
+                    assert got is ValidityError
             if ok:
                 assert min_cost_for_svs(g, svs, mode, b) == min_cost_for_svs_by_names(
                     g, svs, mode, b
