@@ -293,7 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     graph, sha = _load_instance(args.instance)
     try:
         doc = json.loads(Path(args.solution).read_text())
-    except ValueError as exc:  # bad JSON, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not text, deep nesting
         raise ParseError(f"solution document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != DOC_FORMAT:
         raise ParseError(f"solution document must declare format {DOC_FORMAT!r}")
@@ -307,6 +307,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError:
         raise ParseError(f"unknown mode {doc['mode']!r}") from None
     ops = tuple(ShiftOperation(*op) for op in _doc_entries(doc, "ops", _OP_FIELD_TYPES))
+    cost = sum(op.cost for op in ops)
+    try:
+        str(cost)  # each delta is within the integer digit limit, but a sum may pass it
+    except ValueError:
+        raise ParseError("solution document ops cost past the integer digit limit") from None
     witness = None
     if doc.get("witness_svs") is not None:
         witness = make_svs(
@@ -328,7 +333,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc["instance_sha256"] == sha,
         f"document says {doc['instance_sha256']}, file is {sha}",
     )
-    cost = sum(op.cost for op in ops)
     report("cost-consistent", doc["cost"] == cost, f"ops cost {cost}, document says {doc['cost']}")
     budget = doc["budget"]
     report(

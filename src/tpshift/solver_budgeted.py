@@ -9,16 +9,19 @@ solve_xp_by_k       enumerates switch-vertex-sets, prices each exactly
 solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
+
+All but xp-b keep their best in _keep_best, searching only what can win.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph_core import (
     AddressingError,
@@ -49,6 +52,7 @@ from .switch_structures import (
     _sites_of,
     _suffix_union_at,
     _valid_site_sets,
+    earliest_sites,
     enumerate_spts,
     is_valid_svs,
     place_switches,
@@ -84,33 +88,25 @@ def _check_budget(b: int) -> None:
 def _require_source(graph: TemporalKPathGraph, s: Vertex) -> None:
     if not is_normalized(graph, s):
         raise InvalidInstanceError(
-            f"{s!r} must head its own path and appear nowhere else; "
-            "run normalize_source first"
+            f"{s!r} must head its own path and appear nowhere else; run normalize_source first"
         )
 
 
 def _canonical_ops(net: dict[tuple[int, int], int]) -> tuple[ShiftOperation, ...]:
     """Merged ops in canonical order: delays front-to-back, advances back-to-front."""
     delays = sorted(key for key, d in net.items() if d > 0)
-    advances = sorted(
-        (key for key, d in net.items() if d < 0), key=lambda pe: (pe[0], -pe[1])
-    )
-    return tuple(
-        ShiftOperation(p, e, net[(p, e)]) for p, e in itertools.chain(delays, advances)
-    )
+    advances = sorted((key for key, d in net.items() if d < 0), key=lambda pe: (pe[0], -pe[1]))
+    return tuple(ShiftOperation(p, e, net[(p, e)]) for p, e in itertools.chain(delays, advances))
 
 
 def net_vector_count(edges: int, b: int, mode: Mode) -> int:
     """How many net shift vectors of cost <= b over `edges` edges the mode allows.
 
-    A vector with i nonzero entries picks their edges, splits a cost of at
-    most b among them, and in shift mode a sign for each; one-signed modes
-    count the nonnegative vectors of sum <= b.
+    A vector with i nonzero entries picks their edges, splits at most b among
+    them and, in shift mode, a sign for each.
     """
     if mode is Mode.SHIFT:
-        return sum(
-            math.comb(edges, i) * math.comb(b, i) << i for i in range(min(edges, b) + 1)
-        )
+        return sum(math.comb(edges, i) * math.comb(b, i) << i for i in range(min(edges, b) + 1))
     return math.comb(edges + b, b)
 
 
@@ -167,22 +163,19 @@ def solve_xp_by_b(
     Each budget unit buys one +1 or -1 on one edge (or is skipped), and the
     units are applied merged per edge in canonical order, so a plan's result
     depends only on its net shift vector. Each vector is scored once: by
-    cost r = 0..b, and within one r in the lex order of its sorted unit
-    tuple. That is the order in which the vectors first appear in the stream
-    of unit multisets of size b (skips first, units in path, edge, +1, -1
-    order): a multiset with u units comes after all with fewer, and its net
-    vector first appears as the one multiset with u = cost and no unit
-    cancelling another. Ties (equal reach and cost) therefore go to the same
-    vector as in that stream: the first seen.
+    cost r = 0..b, then in the lex order of its sorted unit tuple, which is
+    the order in which vectors first appear in the stream of unit multisets
+    of size b (skips first, units in path, edge, +1, -1 order): a vector
+    first appears as its one multiset with u = cost units, none cancelling
+    another, after every multiset with fewer. Ties (equal reach and cost)
+    so go to the same vector as in that stream: the first seen.
 
     The scan stops once the best vector reaches C, the size of s's reach in
-    the static digraph of path edges (static_reach). No labeling reaches
-    more, and a best vector is replaced only by a strictly greater
-    (reach, -cost); every later vector costs at least as much, so none can
-    replace one that reaches C. limit_states still caps the number of
-    vectors, net_vector_count, counted up front whether or not the scan
-    would stop early. Where C is never reached the scan is full: slow by
-    design, as the other solvers are measured against it.
+    the static digraph of path edges (static_reach): no labeling reaches
+    more, and only a strictly greater (reach, -cost) replaces the best,
+    while later vectors cost no less. limit_states caps the number of
+    vectors, net_vector_count, counted up front either way. Where C is never
+    reached the scan is full: slow by design, as it is the reference.
     """
     _check_budget(b)
     if all(path.find(s) is None for path in graph.paths):
@@ -235,11 +228,8 @@ def min_cost_for_svs(
     enter switch-off vertices. Propagation between those edges is priced
     exactly (including delays eating slack and advances dragging earlier
     edges along), so the returned cost matches brute force. None means no
-    assignment within b exists. This is the guarded entry: it checks the
-    set, takes its sites from _sites_of, as is_valid_svs does, and prices
-    them with _price_sites, the one model builder, which xp-k and fixed-spt
-    call directly because their sets are valid by construction and come
-    as sites.
+    assignment within b exists. This is the checked entry to _price_sites,
+    which xp-k and fixed-spt call on sites valid by construction.
     """
     _check_budget(b)
     if not is_valid_svs(graph, svs):
@@ -253,14 +243,12 @@ def _price_sites(
 ) -> tuple[int, tuple[ShiftOperation, ...]] | None:
     """min_cost_for_svs for the valid switch set at sites, unchecked.
 
-    sites must come sorted by child, as tree_sites yields them: the d
-    variables are declared in that order. start is the source's position
-    on its path. The integer program is built on variable indices, declared
-    in the order d, a, pd/h, m/u, e (see the comments below), with zero
-    coefficients dropped from its rows, and solved by the lexicographic
-    search, so it returns the lex-smallest optimum in that order. Ops are
-    read from d and a alone, which come first, so the order among the
-    others cannot change them.
+    sites come sorted by child, as tree_sites yields them, the d variables'
+    order; start is the source's position on its path. The program is built
+    on variable indices, declared in the order d, a, pd/h, m/u, e (see
+    below), zero coefficients dropped, and the lexicographic search returns
+    its lex-smallest optimum in that order. Ops are read from d and a alone,
+    which come first, so the order among the others cannot change them.
     """
     if not sites:
         return 0, ()
@@ -380,66 +368,80 @@ _Candidate = tuple[tuple[ShiftOperation, ...], int, tuple[Site, ...]]
 
 
 def _best_priced(
-    graph: TemporalKPathGraph,
-    s: Vertex,
-    site_sets: Iterable[tuple[Site, ...]],
-    mode: Mode,
-    b: int,
-    limit_svss: int,
+    graph: TemporalKPathGraph, s: Vertex, site_sets: Iterable[tuple[Site, ...]], mode: Mode,
+    b: int, limit_svss: int,
 ) -> _Candidate | None:
-    """The affordable switch set whose suffixes cover the most, priced exactly.
-
-    site_sets are the sites of valid switch sets. The winner and its ops are
-    those that pricing every set at b with min_cost_for_svs and keeping the
-    best (reach, -cost), ties going to the first seen, would give; a set is
-    only priced if it can still win. A set whose suffix union is smaller
-    than the best so far is skipped. One of equal size is priced with budget
-    best cost - 1, since only a strictly cheaper set wins, so every set that
-    prices at all becomes the best. Its ops need no second pricing at b:
-    within any budget c >= its cheapest cost C the integer program has the
-    same lex-smallest optimum, because that optimum moves no amount by more
-    than C and so stays feasible when b shrinks to c. Every set counts
-    against limit_svss, skipped or not. Pricing skips min_cost_for_svs's
-    validity check and position look-ups, since the sets are valid and
-    carry their positions; the suffix union is read off the sites too.
-    """
-    union = _suffix_union_at(graph, s)
+    """The affordable valid switch set (given as sites) whose suffixes cover
+    the most, priced exactly; every set counts against limit_svss. Each set
+    is its own bound in _keep_best, so a set that prices at all becomes the
+    best, and its ops need no second pricing at b: within any budget c >= its
+    cheapest cost C the integer program has the same lex-smallest optimum,
+    which moves no amount by more than C."""
     start = graph.source_path.find(graph.source)
-    best: _Candidate | None = None
-    best_reach = -1
-    for count, sites in enumerate(site_sets, 1):
-        if count > limit_svss:
-            raise ResourceLimitError(
-                f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
-            )
-        reach = len(union(sites))
-        if reach > best_reach:
-            cap = b
-        elif reach == best_reach and best[1] > 0:
-            cap = best[1] - 1
-        else:
-            continue
-        priced = _price_sites(graph, sites, start, mode, cap)
-        if priced is not None:
-            cost, ops = priced
-            best, best_reach = (ops, cost, sites), reach
-    return best
+
+    def price(sites: tuple[Site, ...], cap: list[int]) -> tuple[_Candidate, ...]:
+        priced = _price_sites(graph, sites, start, mode, cap[0])
+        return () if priced is None else ((priced[1], priced[0], sites),)
+
+    def bounded() -> Iterator[tuple[tuple[Site, ...], tuple[Site, ...]]]:
+        for count, sites in enumerate(site_sets, 1):
+            if count > limit_svss:
+                raise ResourceLimitError(
+                    f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
+                )
+            yield sites, sites
+
+    return _keep_best(graph, s, bounded(), price, b)
 
 
 def _keep_best(
-    graph: TemporalKPathGraph, s: Vertex, candidates: Iterable[_Candidate]
+    graph: TemporalKPathGraph, s: Vertex, bounded: Iterable, search: Callable, b: int
 ) -> _Candidate | None:
-    """The candidate whose suffixes cover the most (ties: cheaper, then first seen).
+    """The first-seen candidate of largest (reach, -cost), reach being its
+    sites' suffix union size, among every item's search at cap b.
 
-    max returns the first of several maximal items: the first-seen rule.
+    bounded pairs each item with its bound's sites (None: no candidate);
+    search(item, cap) yields its candidates in a fixed order, less those
+    costing more than cap[0] as it stands. An item is searched only if its
+    bound reaches the best reach: at cap b if above it, else at one below
+    the best cost, which a new best reaching the bound lowers to its own.
+    - Bound: no candidate covers more. For a tree, both FPT searches put a
+      child at a slot with pos_p above its parent's anchor, so root first
+      each anchor is at or after the earliest one (see earliest_sites).
+    - Cap: every guess step costs >= 0, so a search may cut a partial guess
+      once it spends past the cap.
+    - Same winner: only a strictly greater (reach, -cost) replaces the best,
+      and no candidate skipped or cut is.
     """
     union = _suffix_union_at(graph, s)
-    return max(candidates, key=lambda c: (len(union(c[2])), -c[1]), default=None)
+    best: _Candidate | None = None
+    best_key = (-1, 0)
+    for item, at in bounded:
+        bound = -1 if at is None else len(union(at))
+        if bound < best_key[0] or (bound == best_key[0] and best_key[1] == 0):
+            continue
+        cap = [b if bound > best_key[0] else -best_key[1] - 1]
+        for ops, cost, sites in search(item, cap):
+            key = (len(union(sites)), -cost)
+            if key > best_key:
+                best, best_key = (ops, cost, sites), key
+                if key[0] == bound:
+                    if cost == 0:
+                        break  # a search keeps no state past its item
+                    cap[0] = cost - 1
+    return best
 
 
-def _replayed(
-    graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None
+def _best_tree(
+    graph: TemporalKPathGraph, s: Vertex, trees: Iterable, b: int, search_on: Callable
 ) -> BudgetedSolution:
+    """_keep_best over trees, each bounded by its earliest placement."""
+    slots, start = switch_slots(graph), graph.source_path.find(s)
+    bounded = ((spt, earliest_sites(graph, spt, start, slots)) for spt in trees)
+    return _replayed(graph, s, _keep_best(graph, s, bounded, search_on(slots), b))
+
+
+def _replayed(graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None) -> BudgetedSolution:
     """The winning candidate, reporting the full reach of the graph it shifts."""
     assert best is not None  # the empty switch set is always a candidate
     ops, cost, sites = best
@@ -464,16 +466,8 @@ def solve_xp_by_k(
     mode: Mode,
     limit_svss: int = DEFAULT_SVS_LIMIT,
 ) -> BudgetedSolution:
-    """Optimum via switch-set enumeration.
-
-    Keeps the affordable valid switch-vertex-set whose suffixes cover the
-    most vertices (ties: cheaper, then first seen). A set is priced only if
-    it can still win: one whose suffix union is smaller than the best so
-    far is skipped, and one of equal size is priced with a budget one below
-    the best cost. That is exact: the key is (reach, -cost), and within
-    any budget that covers a set's cheapest cost the set prices to the same
-    cost and ops (see _best_priced).
-    """
+    """Optimum via switch-set enumeration: the affordable valid switch set whose
+    suffixes cover the most (ties: cheaper, then first seen; _best_priced)."""
     _check_budget(b)
     _require_source(graph, s)
     best = _best_priced(graph, s, _valid_site_sets(graph), mode, b, limit_svss)
@@ -493,25 +487,21 @@ def solve_fixed_spt(
     reached is what the tree itself guarantees (the union of opened path
     suffixes), not the incidental reach of the shifted graph. If no
     affordable switch set induces the tree, returns the bare source-path
-    suffix with no ops and an empty witness; it never returns None. For a
-    tree with edges that fallback is readable as spt.parents and not
-    sol.witness_svs.switches, since a set inducing the tree has one switch
-    per edge. limit_svss counts only the switch sets of this tree. As in
-    solve_xp_by_k, a set that cannot beat the best so far on (reach, -cost)
-    is skipped or priced within a budget one below the best cost, which
-    changes no answer.
+    suffix with no ops and an empty witness, never None; a tree with edges
+    then has fewer switches than edges. The tree is rooted at the source
+    path, graph.source_path_id. limit_svss counts only this tree's sets.
     """
     _check_budget(b)
     _require_source(graph, s)
     root = graph.source_path_id
     mapping = dict(spt.parents)
     if len(mapping) != len(spt.parents) or root in mapping:
-        raise ParameterError("tree must assign one parent per path, none to the root")
+        raise ParameterError(f"tree must give each path one parent, none to the root (path {root})")
     for child, parent in spt.parents:
         if not (0 <= child < graph.k and 0 <= parent < graph.k):
             raise ParameterError(f"tree edge {child}<-{parent} is off this graph")
     if not _all_reach_root(mapping, root):
-        raise ParameterError("tree does not hang together under the source path")
+        raise ParameterError(f"tree does not hang together under the source path (path {root})")
 
     slots = switch_slots(graph, [(parent, child) for child, parent in spt.parents])
     best = _best_priced(graph, s, tree_sites(graph, spt, slots), mode, b, limit_svss)
@@ -525,18 +515,24 @@ def delay_guess_count(trees: Iterable[SwitchPathTree], b: int) -> int:
     return sum(math.comb(len(spt.parents) + b, b) for spt in trees)
 
 
-def _splits(parts: int, b: int) -> Iterator[tuple[int, ...]]:
-    """Every split of at most b into parts nonnegative amounts, in lex order.
+def _splits(parts: int, cap: int | list[int]) -> Iterator[tuple[int, ...]]:
+    """Every split of at most cap into parts nonnegative amounts, in lex order:
+    product(range(cap + 1), repeat=parts) less those summing past cap. cap
+    may be a list, cap[0] lowered between tuples: a prefix is cut once its
+    sum passes it."""
+    room = cap if isinstance(cap, list) else [cap]
 
-    The same tuples, in the same order, as product(range(b + 1),
-    repeat=parts) with those summing past b left out.
-    """
-    if parts == 0:
-        yield ()
-        return
-    for first in range(b + 1):
-        for rest in _splits(parts - 1, b - first):
-            yield (first, *rest)
+    def fill(parts: int, used: int) -> Iterator[tuple[int, ...]]:
+        amount = 0
+        while used + amount <= room[0]:
+            if parts == 1:
+                yield (amount,)
+            else:
+                for rest in fill(parts - 1, used + amount):
+                    yield (amount, *rest)
+            amount += 1
+
+    return fill(parts, 0) if parts else iter([()])
 
 
 def solve_fpt_delay(
@@ -549,9 +545,10 @@ def solve_fpt_delay(
 
     For each guess the tree is walked root first and every switch commits to
     the earliest vertex whose labels work out after propagation; guesses
-    that strand a switch are dropped. Earliest placement dominates: it opens
-    the longest suffix and leaves descendants the most room. limit_states
-    caps the number of guesses, delay_guess_count, counted up front.
+    that strand a switch are dropped: earliest placement opens the longest
+    suffix and leaves descendants the most room. Trees and splits that
+    cannot beat the best so far are skipped (_keep_best). limit_states caps
+    the guesses, delay_guess_count, counted up front.
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -561,22 +558,25 @@ def solve_fpt_delay(
         raise ResourceLimitError(
             f"{total} delay guesses to place, above the limit of {limit_states}"
         )
-    return _replayed(graph, s, _keep_best(graph, s, _delay_guesses(graph, s, b, trees)))
+    return _best_tree(graph, s, trees, b, functools.partial(_delay_search, graph, s))
 
 
 def _delay_guesses(
     graph: TemporalKPathGraph, s: Vertex, b: int, trees: list[SwitchPathTree]
 ) -> Iterator[_Candidate]:
-    """(ops, cost, sites) for every tree and delay split that places.
+    """(ops, cost, sites) for every tree and split that places: the search at cap b, unpruned."""
+    search = _delay_search(graph, s, switch_slots(graph))
+    return itertools.chain.from_iterable(search(spt, [b]) for spt in trees)
 
+
+def _delay_search(graph: TemporalKPathGraph, s: Vertex, slots: SlotTable) -> Callable:
+    """fpt-delay's search of one tree: each split within the cap, in lex order.
     A child's earliest workable slot depends only on (parent, child, parent
-    anchor, parent delay, child delay), so each is found once per solve.
-    """
+    anchor, parent delay, child delay), so each is found once per solve."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    slots = switch_slots(graph)
     earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
-    delay: dict[int, int] = {}  # the current split's, read by first_fit
+    delay = {src: 0}  # the split being placed, set on every tree path before each placement
 
     def first_fit(parent: int, child: int, after: int) -> tuple[int, int] | None:
         key = (parent, child, after, delay[parent], delay[child])
@@ -596,12 +596,11 @@ def _delay_guesses(
             )
             return slot
 
-    for spt in trees:
-        edges = spt.parents
+    def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
+        children = [child for child, _ in spt.parents]
         order = list(root_first(src, spt.children_of))
-        for split in _splits(len(edges), b):
-            delay = {child: amount for (child, _), amount in zip(edges, split)}
-            delay[src] = 0
+        for split in _splits(len(children), cap):
+            delay.update(zip(children, split))
             sites = place_switches(graph, order, pos_s, first_fit)
             if sites is None:
                 continue
@@ -610,18 +609,19 @@ def _delay_guesses(
             assert _all_temporal(_shifted_labels(graph, ops), sites)
             yield ops, sum(split), tuple(sites)
 
+    return search
+
 
 @dataclass(slots=True)  # built once per guess; slots make that cheap
 class _Guess:
-    """Per-path displacement guess for the general search.
+    """Per-path displacement guess for the general search, in the final labeling.
 
-    All fields describe the final labeling the ops are meant to produce:
     delay is the op on this path's switch-in edge; carried_delay the delay
     arriving (via the parent's own op) at the edge leaving the parent for
     us; advance_total / advance_arriving the advance displacement of that
     same edge and the part of it propagated in from the right; backwash the
-    advance reaching this path's switch-in edge from our children; and
-    label_gap the raw label difference the chosen switch vertex must have.
+    advance reaching our switch-in edge from our children; label_gap the
+    raw label difference the chosen switch vertex must have.
     """
 
     delay: int
@@ -631,18 +631,13 @@ class _Guess:
     backwash: int  # <= 0
     label_gap: int
 
-    @property
-    def own_advance(self) -> int:
-        return self.advance_total - self.advance_arriving
-
 
 def _slots_by_gap(graph: TemporalKPathGraph, slots: SlotTable):
     """The slot table with each path pair's slots grouped by label gap.
 
-    A group keeps the table's child order, which is also parent order:
-    labels strictly increase along both paths, so two shared vertices in
-    opposite orders on the two paths have different gaps. That co-sorting
-    is what makes the earliest-match scans below well defined.
+    A group keeps the table's child order, which is also parent order (the
+    co-sorting the earliest-match scans below need): labels strictly rise
+    along both paths, so shared vertices in opposite orders differ in gap.
     """
     out: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
     for (parent, child), pairs in slots.items():
@@ -667,35 +662,44 @@ def solve_fpt_general(
     how much delay and advance ends up on the relevant edges. One depth-first
     search guesses child by child, families root first, and lays each
     family out greedily as soon as its last child is guessed, siblings whose
-    guesses interlock exactly being placed as one rigid batch. limit_states
-    caps the number of guesses made; above it the search raises
-    ResourceLimitError.
+    guesses interlock exactly being placed as one rigid batch. Trees and
+    guesses that cannot beat the best so far are skipped (_keep_best), which
+    lowers the count of guesses made that limit_states caps (ResourceLimitError).
 
     The survivors are those of guessing everything and then laying out each
-    complete guess, in the same order, because all the search skips is work
-    that cannot survive. A family whose layout fails cuts every completion:
-    its placement depends only on its own guesses, its parent's guess and
-    the anchors placed before it. A child tries a label gap only if some
-    slot of that gap lies after its parent's anchor (known by then, as
-    families come root first): a batch member's slot lies at or after its
-    head's, and the head's after the anchor. A child's delay stops at the
-    budget left, since a guess costs at least its delay (its total advance
-    never exceeds the arriving one). Every survivor is replayed and asserted
-    temporal.
+    complete guess, in the same order. A family whose layout fails cuts
+    every completion: its placement depends only on its own guesses, its
+    parent's guess and the anchors placed before it. A child tries a label
+    gap only if some slot of that gap lies after its parent's anchor (known
+    by then, as families come root first): a batch member's slot lies at or
+    after its head's, and the head's after the anchor. A child's delay stops
+    at the budget left: a guess costs at least its delay (its total advance
+    never exceeds the arriving one). Every survivor is asserted temporal.
     """
     _check_budget(b)
     _require_source(graph, s)
-    return _replayed(
-        graph, s, _keep_best(graph, s, _general_survivors(graph, s, b, mode, limit_states))
-    )
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    search_on = functools.partial(_general_search, graph, s, b, mode, limit_states)
+    return _best_tree(graph, s, trees, b, search_on)
 
 
 def _general_survivors(
     graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit_states: int
 ) -> Iterator[_Candidate]:
-    """(ops, cost, sites) for every guess that lays out, in guessing order."""
+    """(ops, cost, sites) for every guess that lays out, in guessing order: the
+    search at cap b, unpruned."""
+    search = _general_search(graph, s, b, mode, limit_states, switch_slots(graph))
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    return itertools.chain.from_iterable(search(spt, [b]) for spt in trees)
+
+
+def _general_search(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit_states: int, table: SlotTable
+) -> Callable:
+    """fpt-general's search of one tree: each sibling order and guess within the cap.
+    The guess count runs on across trees; each search has its own state."""
     src = graph.source_path_id
-    slots = _slots_by_gap(graph, switch_slots(graph))
+    slots = _slots_by_gap(graph, table)
     # per path pair: each label gap, ascending, with its last slot's pos on the parent
     tops = {
         pair: sorted((ell, pairs[-1][0]) for ell, pairs in groups.items())
@@ -704,91 +708,89 @@ def _general_survivors(
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
     nodes = 0
-    # The search state, with chain and sigma set per sibling order below.
-    # extend takes back its sites on the way back; a path's guess and
-    # anchor are always set on the current branch before they are read.
-    anchor = {src: graph.source_path.find(s)}
-    assign: dict[int, _Guess] = {}
-    sites: list[Site] = []
 
-    def extend(i: int, spent: int) -> Iterator[_Candidate]:
-        nonlocal nodes
-        if i == len(chain):
-            net: dict[tuple[int, int], int] = {}
-            for parent, pos_p, child, pos_q in sites:
-                g = assign[child]
-                for key, amount in ((child, pos_q), g.delay), ((parent, pos_p - 1), g.own_advance):
-                    if amount:
-                        net[key] = net.get(key, 0) + amount
-            ops = _canonical_ops(net)
-            # a laid-out guess replays temporal
-            assert _all_temporal(_shifted_labels(graph, ops), sites)
-            yield ops, spent, tuple(sites)
-            return
-        parent, child, idx = chain[i]
-        kids = sigma[parent]
-        after = anchor[parent]
-        ells = [ell for ell, top in tops[(parent, child)] if top > after]
-        if not ells:
-            return
-        last = idx == len(kids) - 1
-        if idx == 0:
-            delay_cap = assign[parent].delay if parent != src else 0
-            advance_cap = assign[parent].backwash if parent != src else 0
-        else:
-            prev = assign[kids[idx - 1]]
-            delay_cap = prev.carried_delay
-            advance_cap = prev.advance_arriving
-        has_kids = bool(sigma.get(child))
-        left = b - spent
-        for delay in range(left + 1) if allow_delay else (0,):
-            for carried in range(delay_cap + 1) if allow_delay else (0,):
-                if carried > 0 or last or not allow_advance:
-                    arrive_opts = (0,)  # a delayed edge takes no advance
-                else:
-                    arrive_opts = range(-b, 1)
-                for arriving in arrive_opts:
-                    if not allow_advance or carried > 0:
-                        total_opts = (arriving,)
-                    else:  # own advance arriving - total within the budget left
-                        lowest = max(-b, arriving - (left - delay))
-                        total_opts = range(lowest, min(arriving, advance_cap) + 1)
-                    for total in total_opts:
-                        cost = delay + (arriving - total)
-                        wash_opts = (
-                            range(-b, 1)
-                            if has_kids and allow_advance and delay == 0
-                            else (0,)
-                        )
-                        for wash in wash_opts:
-                            # temporality of this switch, in displacements:
-                            # carried + total < ell + delay + wash
-                            first = bisect_left(ells, carried + total + 1 - delay - wash)
-                            for ell in ells[first:]:
-                                nodes += 1
-                                if nodes > limit_states:
-                                    raise ResourceLimitError(
-                                        f"more than {limit_states} fpt-general guesses; "
-                                        "raise the limit to proceed"
+    def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
+        # The search state, with chain and sigma set per sibling order below.
+        # extend takes back its sites on the way back; a path's guess and
+        # anchor are always set on the current branch before they are read.
+        anchor = {src: graph.source_path.find(s)}
+        assign: dict[int, _Guess] = {}
+        sites: list[Site] = []
+
+        def extend(i: int, spent: int) -> Iterator[_Candidate]:
+            nonlocal nodes
+            left = cap[0] - spent
+            if left < 0:
+                return
+            if i == len(chain):
+                net: dict[tuple[int, int], int] = {}
+                for p, pos_p, c, pos_c in sites:
+                    g = assign[c]
+                    own = g.advance_total - g.advance_arriving  # this path's own advance
+                    for key, amount in ((c, pos_c), g.delay), ((p, pos_p - 1), own):
+                        if amount:
+                            net[key] = net.get(key, 0) + amount
+                ops = _canonical_ops(net)
+                # a laid-out guess replays temporal
+                assert _all_temporal(_shifted_labels(graph, ops), sites)
+                yield ops, spent, tuple(sites)
+                return
+            parent, child, idx = chain[i]
+            kids = sigma[parent]
+            after = anchor[parent]
+            ells = [ell for ell, top in tops[(parent, child)] if top > after]
+            if not ells:
+                return
+            last = idx == len(kids) - 1
+            if idx:
+                prev = assign[kids[idx - 1]]
+                delay_cap, advance_cap = prev.carried_delay, prev.advance_arriving
+            elif parent != src:
+                delay_cap, advance_cap = assign[parent].delay, assign[parent].backwash
+            else:
+                delay_cap = advance_cap = 0
+            has_kids = bool(sigma.get(child))
+            for delay in range(left + 1) if allow_delay else (0,):
+                for carried in range(delay_cap + 1) if allow_delay else (0,):
+                    # a delayed edge takes no advance
+                    no_arrival = carried > 0 or last or not allow_advance
+                    for arriving in (0,) if no_arrival else range(-b, 1):
+                        if not allow_advance or carried > 0:
+                            total_opts = (arriving,)
+                        else:  # own advance arriving - total within the budget left
+                            lowest = max(-b, arriving - (left - delay))
+                            total_opts = range(lowest, min(arriving, advance_cap) + 1)
+                        for total in total_opts:
+                            cost = delay + (arriving - total)
+                            washes = has_kids and allow_advance and delay == 0
+                            for wash in range(-b, 1) if washes else (0,):
+                                # temporality of this switch, in displacements:
+                                # carried + total < ell + delay + wash
+                                first = bisect_left(ells, carried + total + 1 - delay - wash)
+                                for ell in ells[first:]:
+                                    nodes += 1
+                                    if nodes > limit_states:
+                                        raise ResourceLimitError(
+                                            f"more than {limit_states} fpt-general guesses; "
+                                            "raise the limit to proceed"
+                                        )
+                                    assign[child] = _Guess(
+                                        delay, carried, total, arriving, wash, ell
                                     )
-                                assign[child] = _Guess(
-                                    delay, carried, total, arriving, wash, ell
-                                )
-                                if not last:
+                                    if not last:
+                                        yield from extend(i + 1, spent + cost)
+                                        continue
+                                    placed = _place_chain(
+                                        graph, parent, kids, assign, slots, after, src
+                                    )
+                                    if placed is None:
+                                        continue
+                                    for _, _, kid, pos_q in placed:
+                                        anchor[kid] = pos_q
+                                    sites.extend(placed)
                                     yield from extend(i + 1, spent + cost)
-                                    continue
-                                placed = _place_chain(
-                                    graph, parent, kids, assign, slots, after, src
-                                )
-                                if placed is None:
-                                    continue
-                                for _, _, kid, pos_q in placed:
-                                    anchor[kid] = pos_q
-                                sites.extend(placed)
-                                yield from extend(i + 1, spent + cost)
-                                del sites[-len(placed) :]
+                                    del sites[-len(placed) :]
 
-    for spt in enumerate_spts(graph.k, include_partial=True, root=src):
         parents_with_kids = sorted({parent for _, parent in spt.parents})
         orderings = itertools.product(
             *(itertools.permutations(spt.children_of(p)) for p in parents_with_kids)
@@ -802,15 +804,12 @@ def _general_survivors(
             ]
             yield from extend(0, 0)
 
+    return search
+
 
 def _place_chain(
-    graph: TemporalKPathGraph,
-    parent: int,
-    kids: tuple[int, ...],
-    assign: dict[int, _Guess],
-    slots,
-    after: int,
-    src: int,
+    graph: TemporalKPathGraph, parent: int, kids: tuple[int, ...], assign: dict[int, _Guess],
+    slots, after: int, src: int,
 ) -> list[Site] | None:
     """Earliest placement of one parent's children, honoring the couplings.
 

@@ -15,8 +15,8 @@ from .switch_structures import (
     SlotTable,
     SwitchPathTree,
     SwitchVertexSet,
+    earliest_sites,
     enumerate_spts,
-    place_switches,
     root_first,
     suffix_union,
     svs_at,
@@ -43,24 +43,17 @@ def best_svs_for_spt(
 ) -> SwitchVertexSet | None:
     """Best label-agnostic realization of a switch-path-tree, or None.
 
-    Walks the tree outward from the source path. For each tree edge the
-    switch goes on the earliest vertex of the child path that also sits
-    strictly after the parent's own switch vertex, which maximizes the
-    unlocked suffix and leaves descendants the widest choice. Absence means
-    some tree edge admits no switch at all. slots is switch_slots(graph),
-    built here when not given.
+    The switches of earliest_sites, which walks the tree outward from the
+    source path: for each tree edge the switch goes on the earliest vertex
+    of the child path that also sits strictly after the parent's own switch
+    vertex, which maximizes the unlocked suffix and leaves descendants the
+    widest choice. Absence means some tree edge admits no switch at all.
+    slots is switch_slots(graph), built here when not given.
     """
-    src = graph.source_path_id
-    start = graph.paths[src].find(s)
+    start = graph.source_path.find(s)
     if start is None:
         return None
-    if slots is None:
-        slots = switch_slots(graph)
-
-    def first_slot(parent: int, child: int, after: int) -> tuple[int, int] | None:
-        return next((slot for slot in slots[(parent, child)] if slot[0] > after), None)
-
-    sites = place_switches(graph, root_first(src, spt.children_of), start, first_slot)
+    sites = earliest_sites(graph, spt, start, switch_slots(graph) if slots is None else slots)
     return None if sites is None else svs_at(graph, sites)
 
 

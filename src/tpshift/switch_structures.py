@@ -305,6 +305,26 @@ def place_switches(
     return sites
 
 
+def earliest_sites(
+    graph: TemporalKPathGraph, spt: SwitchPathTree, start: int, slots: SlotTable
+) -> list[Site] | None:
+    """spt's earliest structural placement, or None if a tree edge has no slot.
+
+    Root first from the source path anchored at start, each child takes the
+    first slot of slots (switch_slots(graph)), in child order, that sits
+    strictly after its parent's anchor. That first slot only moves later as
+    the anchor does, so any placement putting every child after its parent's
+    anchor boards each path at or after the position this one does: its
+    suffix union is a subset of this one's, and it fails wherever this fails.
+    """
+
+    def first_slot(parent: int, child: int, after: int) -> tuple[int, int] | None:
+        return next((slot for slot in slots[(parent, child)] if slot[0] > after), None)
+
+    order = root_first(graph.source_path_id, spt.children_of)
+    return place_switches(graph, order, start, first_slot)
+
+
 def tree_sites(
     graph: TemporalKPathGraph, spt: SwitchPathTree, slots: SlotTable
 ) -> Iterator[tuple[Site, ...]]:

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from tpshift.graph_core import BasePath, Mode, TemporalKPathGraph
+
+# In CI a failing property also prints the blob that replays it with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def path(pid: int, verts, labels) -> BasePath:

@@ -42,6 +42,8 @@ from tpshift.solver_budgeted import (
     DEFAULT_STATE_LIMIT,
     _canonical_ops,
     _delay_guesses,
+    _delay_search,
+    _general_search,
     _general_survivors,
     _net_vectors,
     _price_sites,
@@ -57,6 +59,7 @@ from tpshift.solver_budgeted import (
     solve_xp_by_b,
     solve_xp_by_k,
 )
+from tpshift.solver_unbounded import best_svs_for_spt
 from tpshift.switch_structures import (
     EMPTY_SVS,
     Switch,
@@ -768,9 +771,13 @@ def boarded_twice():
 
 
 class TestGeneralGuessLimit:
-    # the guesses fpt-general makes on boarded_twice at b=2; a guess at the
-    # anchor-only gap, or a delay beyond the budget left, would raise them
-    COUNTS = {Mode.DELAY: 30, Mode.ADVANCE: 55, Mode.SHIFT: 105}
+    # the guesses the unpruned search makes on boarded_twice at b=2; a guess
+    # at the anchor-only gap, or a delay beyond the budget left, would raise
+    # them
+    SURVIVOR_COUNTS = {Mode.DELAY: 30, Mode.ADVANCE: 55, Mode.SHIFT: 105}
+    # the guesses solve_fpt_general makes there: it skips every tree that
+    # cannot beat the best found so far
+    COUNTS = {Mode.DELAY: 3, Mode.ADVANCE: 12, Mode.SHIFT: 12}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_limit_counts_guesses(self, boarded_twice, mode):
@@ -779,6 +786,13 @@ class TestGeneralGuessLimit:
         assert (sol.cost, len(sol.reached)) == (0, 6)
         with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-general"):
             solve_fpt_general(boarded_twice, "s", 2, mode, limit_states=count - 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_unpruned_search_counts_every_guess(self, boarded_twice, mode):
+        count = self.SURVIVOR_COUNTS[mode]
+        assert list(_general_survivors(boarded_twice, "s", 2, mode, count))
+        with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-general"):
+            list(_general_survivors(boarded_twice, "s", 2, mode, count - 1))
 
 
 @pytest.fixture
@@ -857,14 +871,18 @@ class TestDelaySplits:
 
 
 @st.composite
-def _small_case(draw):
+def _small_case(draw, max_b=2):
     """A gen_random graph on 2 to 4 paths, normalized for a source that is
-    path 0's first or second vertex, with that source, a budget and a mode."""
-    k, n = draw(st.integers(2, 4)), draw(st.integers(3, 4))
+    path 0's first or second vertex, with that source, a budget and a mode.
+
+    fpt-general's references slow down fast above b=2 on mid-path sources,
+    so with a max_b above 2 the graph has 2 or 3 paths before normalizing.
+    """
+    k, n = draw(st.integers(2, 4 if max_b <= 2 else 3)), draw(st.integers(3, 4))
     lifetime, share_prob = draw(st.integers(8, 10)), draw(st.sampled_from((0.5, 0.8)))
     g = gen_random(k, n, lifetime, share_prob, draw(st.integers(0, 10**6)))
     source = g.paths[0].vertices[draw(st.integers(0, 1))]
-    b = draw(st.integers(0, 2))  # fpt-general slows down fast above 2 on mid-path sources
+    b = draw(st.integers(0, max_b))
     return normalize_source(g, source, b), source, b, draw(st.sampled_from(MODES))
 
 
@@ -886,3 +904,45 @@ class TestSolversAgreeWithXpB:
             answers["fpt-delay"] = solve_fpt_delay(g, s, b)
         for algo, sol in answers.items():
             assert (len(sol.reached), sol.cost) == (len(want.reached), want.cost), algo
+
+
+class TestFptSolversSkipWhatCannotWin:
+    """fpt-delay and fpt-general skip trees whose bound, the suffix union of
+    their earliest placement, cannot beat the best so far, and cut guesses
+    that cost too much to beat it; the answer is that of the full search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_case(max_b=3))
+    def test_solutions_equal_the_unpruned_references(self, case):
+        g, s, b, mode = case
+        assert solve_fpt_general(g, s, b, mode) == fpt_general_by_scan(g, s, b, mode)
+        assert solve_fpt_delay(g, s, b) == fpt_delay_by_product(g, s, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_case(max_b=3))
+    def test_no_candidate_covers_more_than_its_trees_bound(self, case):
+        g, s, b, mode = case
+        slots = switch_slots(g)
+        searches = [_delay_search(g, s, slots)]
+        searches.append(_general_search(g, s, b, mode, DEFAULT_STATE_LIMIT, slots))
+        for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+            earliest = best_svs_for_spt(g, s, spt, slots)
+            for search in searches:
+                candidates = list(search(spt, [b]))
+                if earliest is None:
+                    assert candidates == [], spt
+                    continue
+                bound = suffix_union(g, earliest, s)
+                for _, _, sites in candidates:
+                    assert suffix_union(g, svs_at(g, sites), s) <= bound, spt
+
+    def test_fpt_delay_answer_holds_at_large_budgets(self):
+        # the answer stops changing at b=50; the bound and the cap keep the
+        # work there from growing as C(E + b, b) per tree
+        g = gen_random(3, 5, 15, 0.6, 1)
+        sols = [
+            solve_fpt_delay(normalize_source(g, g.source, b), g.source, b)
+            for b in (50, 100, 200)
+        ]
+        assert sols[0] == sols[1] == sols[2]
+        assert (sols[0].cost, len(sols[0].reached)) == (12, 8)

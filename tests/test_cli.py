@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -111,6 +112,20 @@ class TestSolve:
         doc = solve_doc(tmp_path, capsys, f, "--algo", "xp-b", "--budget", "1")
         assert "m" in doc["reached"]
 
+    def test_fixed_spt_names_the_appended_source_path(self, tmp_path, capsys):
+        # m is path 0's second vertex and heads path 1, so normalize_source
+        # appends path 2 for it, and --spt must be rooted at path 2
+        g = graph_of(path(0, "a m b", (0, 1)), path(1, "m c d", (5, 6)), source="m")
+        f = tmp_path / "mid.kpg"
+        f.write_text(write_instance(g))
+        args = ["solve", str(f), "--algo", "fixed-spt", "--budget", "1", "--spt"]
+        assert main([*args, "1:0"]) == 2
+        assert "under the source path (path 2)" in capsys.readouterr().err
+        assert main([*args, "2:0"]) == 2
+        assert "none to the root (path 2)" in capsys.readouterr().err
+        assert main([*args, "0:2"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness_svs"]
+
     def test_usage_errors(self, tmp_path, capsys, i1_file):
         assert main(["solve", str(i1_file), "--algo", "nope"]) == 2
         assert main(["solve", str(i1_file), "--algo", "fixed-spt", "--budget", "1"]) == 2
@@ -183,8 +198,9 @@ class TestSolve:
         assert "4 delay guesses" in capsys.readouterr().err
 
     def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys):
-        # test_budgeted's boarded_twice: fpt-general makes 18 guesses at
-        # b=1 in delay mode
+        # test_budgeted's boarded_twice: fpt-general makes 3 guesses at b=1
+        # in delay mode, skipping every tree that cannot beat the best found
+        # so far (18 without skipping)
         f = tmp_path / "boarded.kpg"
         f.write_text(
             "kpathgraph v1\nk 3\nsource s\n"
@@ -193,9 +209,9 @@ class TestSolve:
             "path 2 : y -2-> a -6-> e\n"
         )
         args = ["solve", str(f), "--algo", "fpt-general", "--mode", "delay", "--budget", "1"]
-        assert main([*args, "--limit-states", "18"]) == 0
-        assert main([*args, "--limit-states", "17"]) == 4
-        assert "more than 17 fpt-general guesses" in capsys.readouterr().err
+        assert main([*args, "--limit-states", "3"]) == 0
+        assert main([*args, "--limit-states", "2"]) == 4
+        assert "more than 2 fpt-general guesses" in capsys.readouterr().err
 
     def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
         # tree 1:0 has two switch sets (at a and at b); the empty set of the
@@ -605,3 +621,91 @@ class TestMalformedInstances:
                     rc = main(argv)
                 assert rc in {0, 1, 2, 3, 4}, (argv, rc)
                 assert "Traceback" not in err.getvalue()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**30, -(10**30), 2**63, 0.9, "1", "delay", "a", DOC_FORMAT]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _good_documents() -> tuple[str, ...]:
+    """Solution documents for I1_TEXT from xp-k, fixed-spt and unbounded, as JSON text."""
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, sol = Path(tmp) / "i1.kpg", Path(tmp) / "sol.json"
+        inst.write_text(I1_TEXT)
+        for args in (
+            ["--algo", "xp-k", "--mode", "delay", "--budget", "1"],
+            ["--algo", "fixed-spt", "--spt", "1:0", "--budget", "1"],
+            ["--algo", "unbounded"],
+        ):
+            assert main(["solve", str(inst), *args, "--output", str(sol)]) == 0
+            docs.append(sol.read_text())
+    return tuple(docs)
+
+
+@st.composite
+def malformed_documents(draw) -> bytes:
+    """A good document after a few dropped keys, retyped fields or stray
+    op/witness entries, then perhaps cut short or given stray bytes."""
+    doc = json.loads(draw(st.sampled_from(_good_documents())))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        holders = [doc] + [
+            entry
+            for key in ("ops", "witness_svs")
+            if isinstance(doc.get(key), list)
+            for entry in doc[key]
+            if isinstance(entry, dict)
+        ]
+        holder = draw(st.sampled_from(holders))
+        kind = draw(st.sampled_from(["drop", "retype", "entry"]))
+        if kind == "entry":
+            key = draw(st.sampled_from(["ops", "witness_svs"]))
+            if isinstance(doc.get(key), list):
+                doc[key].append(draw(_JSON_VALUES))
+            else:
+                doc[key] = draw(_JSON_VALUES)
+        elif holder:
+            key = draw(st.sampled_from(sorted(holder)))
+            if kind == "drop":
+                del holder[key]
+            else:
+                holder[key] = draw(_JSON_VALUES)
+    data = json.dumps(doc).encode()
+    ending = draw(st.sampled_from(["whole", "cut", "bytes"]))
+    if ending == "cut":
+        data = data[: draw(st.integers(min_value=0, max_value=len(data)))]
+    elif ending == "bytes":
+        data += draw(st.one_of(st.sampled_from(_NOT_UTF8), st.binary(max_size=8)))
+    return data
+
+
+def _huge_ops_document() -> bytes:
+    """xp-k's document with two ops whose deltas are each within the integer
+    digit limit but whose cost is past it."""
+    doc = json.loads(_good_documents()[0])
+    doc["ops"] = [{"path": 1, "edge_index": 1, "delta": int("9" * 4300)}] * 2
+    return json.dumps(doc).encode()
+
+
+class TestMalformedDocuments:
+    """Bad solution documents end in an exit code, never in a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(b"[" * 100_000 + b"]" * 100_000)  # nesting past the recursion limit
+    @example(_huge_ops_document())
+    @given(malformed_documents())
+    def test_verify_exits_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, sol = Path(tmp) / "i1.kpg", Path(tmp) / "sol.json"
+            inst.write_text(I1_TEXT)
+            sol.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["verify", str(inst), str(sol)])
+            assert rc in {0, 1, 2, 3, 4}
+            assert "Traceback" not in err.getvalue()
