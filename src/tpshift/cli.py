@@ -437,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit-states",
         type=int,
         default=None,
-        help="cap on enumerated states (also honored via TPSHIFT_LIMIT_STATES)",
+        help="cap on switch sets or guesses tried, or on xp-b's net shift vectors"
+        " (counted up front); also honored via TPSHIFT_LIMIT_STATES",
     )
     sp.add_argument("--spt", default=None, help='fixed-spt tree, e.g. "1:0,2:1"')
     sp.add_argument("--output", default=None, help="write the JSON document here")

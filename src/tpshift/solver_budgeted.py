@@ -10,7 +10,9 @@ solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
 
-All but xp-b keep their best in _keep_best, searching only what can win.
+All but xp-b keep their best in _keep_best, searching only what can win,
+and count their work as they do it (_counter). xp-b counts its vectors up
+front, the exact size of its full scan.
 """
 
 from __future__ import annotations
@@ -90,6 +92,19 @@ def _require_source(graph: TemporalKPathGraph, s: Vertex) -> None:
         raise InvalidInstanceError(
             f"{s!r} must head its own path and appear nowhere else; run normalize_source first"
         )
+
+
+def _counter(limit: int, what: str) -> Callable[[], None]:
+    """A tick to call once per unit of work; the call past limit raises."""
+    done = 0
+
+    def tick() -> None:
+        nonlocal done
+        done += 1
+        if done > limit:
+            raise ResourceLimitError(f"more than {limit} {what}; raise the limit to proceed")
+
+    return tick
 
 
 def _canonical_ops(net: dict[tuple[int, int], int]) -> tuple[ShiftOperation, ...]:
@@ -384,11 +399,9 @@ def _best_priced(
         return () if priced is None else ((priced[1], priced[0], sites),)
 
     def bounded() -> Iterator[tuple[tuple[Site, ...], tuple[Site, ...]]]:
-        for count, sites in enumerate(site_sets, 1):
-            if count > limit_svss:
-                raise ResourceLimitError(
-                    f"more than {limit_svss} switch-vertex-sets; raise the limit to proceed"
-                )
+        tick = _counter(limit_svss, "switch-vertex-sets")
+        for sites in site_sets:
+            tick()
             yield sites, sites
 
     return _keep_best(graph, s, bounded(), price, b)
@@ -433,12 +446,18 @@ def _keep_best(
 
 
 def _best_tree(
-    graph: TemporalKPathGraph, s: Vertex, trees: Iterable, b: int, search_on: Callable
+    graph: TemporalKPathGraph, s: Vertex, b: int, limit: int, what: str, search_on: Callable
 ) -> BudgetedSolution:
-    """_keep_best over trees, each bounded by its earliest placement."""
+    """The FPT solvers' driver: _keep_best over the trees under the source
+    path, each bounded by its earliest placement. search_on(slots, tick)
+    gives the per-tree search, which ticks once per guess it tries; the
+    count runs across trees, and the guess past limit raises
+    ResourceLimitError."""
     slots, start = switch_slots(graph), graph.source_path.find(s)
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
     bounded = ((spt, earliest_sites(graph, spt, start, slots)) for spt in trees)
-    return _replayed(graph, s, _keep_best(graph, s, bounded, search_on(slots), b))
+    search = search_on(slots, _counter(limit, what))
+    return _replayed(graph, s, _keep_best(graph, s, bounded, search, b))
 
 
 def _replayed(graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None) -> BudgetedSolution:
@@ -510,21 +529,15 @@ def solve_fixed_spt(
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
-def delay_guess_count(trees: Iterable[SwitchPathTree], b: int) -> int:
-    """How many (tree, delay split) guesses fpt-delay places: C(E_t + b, b) per tree."""
-    return sum(math.comb(len(spt.parents) + b, b) for spt in trees)
-
-
-def _splits(parts: int, cap: int | list[int]) -> Iterator[tuple[int, ...]]:
-    """Every split of at most cap into parts nonnegative amounts, in lex order:
-    product(range(cap + 1), repeat=parts) less those summing past cap. cap
-    may be a list, cap[0] lowered between tuples: a prefix is cut once its
-    sum passes it."""
-    room = cap if isinstance(cap, list) else [cap]
+def _splits(parts: int, cap: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every split of at most cap[0] into parts nonnegative amounts, in lex
+    order: product(range(cap[0] + 1), repeat=parts) less those summing past
+    it. cap[0] may be lowered between tuples: a prefix is cut once its sum
+    passes it as it stands."""
 
     def fill(parts: int, used: int) -> Iterator[tuple[int, ...]]:
         amount = 0
-        while used + amount <= room[0]:
+        while used + amount <= cap[0]:
             if parts == 1:
                 yield (amount,)
             else:
@@ -548,31 +561,22 @@ def solve_fpt_delay(
     that strand a switch are dropped: earliest placement opens the longest
     suffix and leaves descendants the most room. Trees and splits that
     cannot beat the best so far are skipped (_keep_best). limit_states caps
-    the guesses, delay_guess_count, counted up front.
+    the (tree, split) guesses tried, counted as they are tried: with nothing
+    skipped a tree of E edges has C(E + b, b) splits.
     """
     _check_budget(b)
     _require_source(graph, s)
-    trees = list(enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id))
-    total = delay_guess_count(trees, b)
-    if total > limit_states:
-        raise ResourceLimitError(
-            f"{total} delay guesses to place, above the limit of {limit_states}"
-        )
-    return _best_tree(graph, s, trees, b, functools.partial(_delay_search, graph, s))
+    search_on = functools.partial(_delay_search, graph, s)
+    return _best_tree(graph, s, b, limit_states, "fpt-delay guesses", search_on)
 
 
-def _delay_guesses(
-    graph: TemporalKPathGraph, s: Vertex, b: int, trees: list[SwitchPathTree]
-) -> Iterator[_Candidate]:
-    """(ops, cost, sites) for every tree and split that places: the search at cap b, unpruned."""
-    search = _delay_search(graph, s, switch_slots(graph))
-    return itertools.chain.from_iterable(search(spt, [b]) for spt in trees)
-
-
-def _delay_search(graph: TemporalKPathGraph, s: Vertex, slots: SlotTable) -> Callable:
-    """fpt-delay's search of one tree: each split within the cap, in lex order.
-    A child's earliest workable slot depends only on (parent, child, parent
-    anchor, parent delay, child delay), so each is found once per solve."""
+def _delay_search(
+    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable, tick: Callable[[], None]
+) -> Callable:
+    """fpt-delay's search of one tree: each split within the cap, in lex order,
+    each a tick. A child's earliest workable slot depends only on (parent,
+    child, parent anchor, parent delay, child delay), so each is found once
+    per solve."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
     earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
@@ -600,6 +604,7 @@ def _delay_search(graph: TemporalKPathGraph, s: Vertex, slots: SlotTable) -> Cal
         children = [child for child, _ in spt.parents]
         order = list(root_first(src, spt.children_of))
         for split in _splits(len(children), cap):
+            tick()
             delay.update(zip(children, split))
             sites = place_switches(graph, order, pos_s, first_fit)
             if sites is None:
@@ -663,8 +668,8 @@ def solve_fpt_general(
     search guesses child by child, families root first, and lays each
     family out greedily as soon as its last child is guessed, siblings whose
     guesses interlock exactly being placed as one rigid batch. Trees and
-    guesses that cannot beat the best so far are skipped (_keep_best), which
-    lowers the count of guesses made that limit_states caps (ResourceLimitError).
+    guesses that cannot beat the best so far are skipped (_keep_best).
+    limit_states caps the guesses made, counted as they are made.
 
     The survivors are those of guessing everything and then laying out each
     complete guess, in the same order. A family whose layout fails cuts
@@ -678,26 +683,16 @@ def solve_fpt_general(
     """
     _check_budget(b)
     _require_source(graph, s)
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
-    search_on = functools.partial(_general_search, graph, s, b, mode, limit_states)
-    return _best_tree(graph, s, trees, b, search_on)
-
-
-def _general_survivors(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit_states: int
-) -> Iterator[_Candidate]:
-    """(ops, cost, sites) for every guess that lays out, in guessing order: the
-    search at cap b, unpruned."""
-    search = _general_search(graph, s, b, mode, limit_states, switch_slots(graph))
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
-    return itertools.chain.from_iterable(search(spt, [b]) for spt in trees)
+    search_on = functools.partial(_general_search, graph, s, b, mode)
+    return _best_tree(graph, s, b, limit_states, "fpt-general guesses", search_on)
 
 
 def _general_search(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit_states: int, table: SlotTable
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, table: SlotTable,
+    tick: Callable[[], None],
 ) -> Callable:
-    """fpt-general's search of one tree: each sibling order and guess within the cap.
-    The guess count runs on across trees; each search has its own state."""
+    """fpt-general's search of one tree: each sibling order and guess within
+    the cap, each a tick. Each search has its own state."""
     src = graph.source_path_id
     slots = _slots_by_gap(graph, table)
     # per path pair: each label gap, ascending, with its last slot's pos on the parent
@@ -707,7 +702,6 @@ def _general_search(
     }
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
-    nodes = 0
 
     def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
         # The search state, with chain and sigma set per sibling order below.
@@ -718,7 +712,6 @@ def _general_search(
         sites: list[Site] = []
 
         def extend(i: int, spent: int) -> Iterator[_Candidate]:
-            nonlocal nodes
             left = cap[0] - spent
             if left < 0:
                 return
@@ -768,12 +761,7 @@ def _general_search(
                                 # carried + total < ell + delay + wash
                                 first = bisect_left(ells, carried + total + 1 - delay - wash)
                                 for ell in ells[first:]:
-                                    nodes += 1
-                                    if nodes > limit_states:
-                                        raise ResourceLimitError(
-                                            f"more than {limit_states} fpt-general guesses; "
-                                            "raise the limit to proceed"
-                                        )
+                                    tick()
                                     assign[child] = _Guess(
                                         delay, carried, total, arriving, wash, ell
                                     )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from functools import partial
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -41,16 +43,14 @@ from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
     DEFAULT_STATE_LIMIT,
     _canonical_ops,
-    _delay_guesses,
+    _counter,
     _delay_search,
     _general_search,
-    _general_survivors,
     _net_vectors,
     _price_sites,
     _replayed_labels,
     _slots_by_gap,
     _splits,
-    delay_guess_count,
     min_cost_for_svs,
     net_vector_count,
     solve_fixed_spt,
@@ -74,6 +74,26 @@ from tpshift.switch_structures import (
     switch_slots,
     tree_sites,
 )
+
+
+def _unpruned(g, s, b, search_on, what, limit):
+    """Every candidate of search_on(slots, tick)'s per-tree search at cap b,
+    tree by tree under the source path, none skipped: the FPT solvers'
+    search without _keep_best."""
+    search = search_on(switch_slots(g), _counter(limit, what))
+    trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
+    return [candidate for spt in trees for candidate in search(spt, [b])]
+
+
+def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT):
+    """(ops, cost, sites) for every tree and delay split that places."""
+    return _unpruned(g, s, b, partial(_delay_search, g, s), "fpt-delay guesses", limit)
+
+
+def _general_survivors(g, s, b, mode, limit=DEFAULT_STATE_LIMIT):
+    """(ops, cost, sites) for every fpt-general guess that lays out."""
+    search_on = partial(_general_search, g, s, b, mode)
+    return _unpruned(g, s, b, search_on, "fpt-general guesses", limit)
 
 
 @pytest.fixture
@@ -731,11 +751,10 @@ class TestPruningChangesNoSolution:
     @pytest.mark.parametrize("seed", PRUNING_SEEDS)
     def test_fpt_delay_yields_the_product_scans_candidates(self, seed):
         for g, source in _pruning_case(seed):
-            trees = list(enumerate_spts(g.k, include_partial=True, root=g.source_path_id))
             for b in range(5):
                 got = [
                     (ops, cost, svs_at(g, sites))
-                    for ops, cost, sites in _delay_guesses(g, source, b, trees)
+                    for ops, cost, sites in _delay_guesses(g, source, b)
                 ]
                 assert got == list(fpt_delay_candidates_by_product(g, source, b)), (source, b)
 
@@ -747,9 +766,7 @@ class TestPruningChangesNoSolution:
                 for b in range(5):
                     got = [
                         (ops, cost, svs_at(g, sites))
-                        for ops, cost, sites in _general_survivors(
-                            g, source, b, mode, DEFAULT_STATE_LIMIT
-                        )
+                        for ops, cost, sites in _general_survivors(g, source, b, mode)
                     ]
                     want = list(fpt_general_survivors_by_scan(g, source, b, mode))
                     assert got == want, (source, mode, b)
@@ -790,9 +807,22 @@ class TestGeneralGuessLimit:
     @pytest.mark.parametrize("mode", MODES)
     def test_the_unpruned_search_counts_every_guess(self, boarded_twice, mode):
         count = self.SURVIVOR_COUNTS[mode]
-        assert list(_general_survivors(boarded_twice, "s", 2, mode, count))
+        assert _general_survivors(boarded_twice, "s", 2, mode, count)
         with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-general"):
-            list(_general_survivors(boarded_twice, "s", 2, mode, count - 1))
+            _general_survivors(boarded_twice, "s", 2, mode, count - 1)
+
+
+class TestDelayGuessLimit:
+    @pytest.mark.parametrize("b", range(5))
+    def test_the_unpruned_search_counts_every_split(self, tight_chain, boarded_twice, b):
+        # with no tree skipped, fpt-delay tries C(E + b, b) splits of a tree
+        # of E edges, whether or not they place
+        for g in (tight_chain, boarded_twice, gen_random(4, 4, 10, 0.8, 5)):
+            trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
+            count = sum(math.comb(len(spt.parents) + b, b) for spt in trees)
+            _delay_guesses(g, "s", b, count)
+            with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-delay"):
+                _delay_guesses(g, "s", b, count - 1)
 
 
 @pytest.fixture
@@ -853,21 +883,16 @@ class TestDelaySplits:
     def test_splits_come_in_the_filtered_products_order(self, parts):
         for b in range(7):
             want = [t for t in product(range(b + 1), repeat=parts) if sum(t) <= b]
-            assert list(_splits(parts, b)) == want, b
-
-    def test_guess_count_is_the_number_of_splits(self):
-        for k in (1, 2, 3, 4):
-            trees = list(enumerate_spts(k, include_partial=True))
-            for b in range(5):
-                want = sum(len(list(_splits(len(t.parents), b))) for t in trees)
-                assert delay_guess_count(trees, b) == want
+            assert list(_splits(parts, [b])) == want, b
 
     def test_guess_limit_trips(self, tight_chain):
-        # trees on 3 paths: 1 root-only, 2 with one edge, 3 with two edges;
-        # at b=2 that is 1 + 2 * C(3, 2) + 3 * C(4, 2) = 25 guesses
-        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=25).cost == 1
-        with pytest.raises(ResourceLimitError, match="25 delay guesses"):
-            solve_fpt_delay(tight_chain, "s", 2, limit_states=24)
+        # the guesses tried at b=2: the root-only tree's one split; 1:0 at
+        # delay 0, which reaches its bound; 1:0, 2:1 at (0, 0), stranded, and
+        # at (0, 1), which reaches all 7 vertices at cost 1, so nothing else
+        # is tried (25 splits with nothing skipped)
+        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=4).cost == 1
+        with pytest.raises(ResourceLimitError, match="more than 3 fpt-delay guesses"):
+            solve_fpt_delay(tight_chain, "s", 2, limit_states=3)
 
 
 @st.composite
@@ -923,8 +948,8 @@ class TestFptSolversSkipWhatCannotWin:
     def test_no_candidate_covers_more_than_its_trees_bound(self, case):
         g, s, b, mode = case
         slots = switch_slots(g)
-        searches = [_delay_search(g, s, slots)]
-        searches.append(_general_search(g, s, b, mode, DEFAULT_STATE_LIMIT, slots))
+        tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
+        searches = [_delay_search(g, s, slots, tick), _general_search(g, s, b, mode, slots, tick)]
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
             earliest = best_svs_for_spt(g, s, spt, slots)
             for search in searches:
@@ -938,11 +963,13 @@ class TestFptSolversSkipWhatCannotWin:
 
     def test_fpt_delay_answer_holds_at_large_budgets(self):
         # the answer stops changing at b=50; the bound and the cap keep the
-        # work there from growing as C(E + b, b) per tree
+        # work there from growing as C(E + b, b) per tree, and the limit
+        # counts only the guesses tried: from b = 2,580 on, C(E + b, b)
+        # summed over the trees passes the default limit
         g = gen_random(3, 5, 15, 0.6, 1)
         sols = [
             solve_fpt_delay(normalize_source(g, g.source, b), g.source, b)
-            for b in (50, 100, 200)
+            for b in (50, 100, 200, 2_580)
         ]
-        assert sols[0] == sols[1] == sols[2]
+        assert sols[0] == sols[1] == sols[2] == sols[3]
         assert (sols[0].cost, len(sols[0].reached)) == (12, 8)

@@ -190,12 +190,14 @@ class TestSolve:
         assert f"{count} net shift vectors" in capsys.readouterr().err
 
     def test_fpt_delay_limit_counts_guesses(self, tmp_path, capsys, i1_file):
-        # trees under path 0: the root-only tree and 1:0; at b=2 that is
-        # C(0 + 2, 2) + C(1 + 2, 2) = 4 (tree, delay split) guesses
+        # trees under path 0: the root-only tree and 1:0; at b=2 fpt-delay
+        # tries the root-only tree's one split, then delays 0 and 1 on 1:0.
+        # Delay 1 reaches the tree's bound, so delay 2 is cut: 3 of the
+        # C(0 + 2, 2) + C(1 + 2, 2) = 4 (tree, delay split) guesses.
         args = ["solve", str(i1_file), "--algo", "fpt-delay", "--mode", "delay", "--budget", "2"]
-        assert main([*args, "--limit-states", "4"]) == 0
-        assert main([*args, "--limit-states", "3"]) == 4
-        assert "4 delay guesses" in capsys.readouterr().err
+        assert main([*args, "--limit-states", "3"]) == 0
+        assert main([*args, "--limit-states", "2"]) == 4
+        assert "more than 2 fpt-delay guesses" in capsys.readouterr().err
 
     def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys):
         # test_budgeted's boarded_twice: fpt-general makes 3 guesses at b=1
