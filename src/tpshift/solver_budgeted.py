@@ -382,27 +382,57 @@ def _price_sites(
 _Candidate = tuple[tuple[ShiftOperation, ...], int, tuple[Site, ...]]
 
 
+def _shortfalls(
+    labels: Sequence[tuple[int, ...]], sites: Iterable[Site]
+) -> list[tuple[int, int, int]]:
+    """(parent, child, shortfall) for the switch at each site, its shortfall
+    being the least rise of its label gap that makes it temporal."""
+    return [(p, c, labels[p][pos_p - 1] - labels[c][pos_c] + 1) for p, pos_p, c, pos_c in sites]
+
+
+def _cost_floor(mode: Mode, shortfalls: Iterable[tuple[int, int, int]]) -> int:
+    """A lower bound on the cost of any plan making switches temporal, given
+    as (parent, child, shortfall) triples, at most one per child.
+
+    Delays only raise labels and advances only lower them, and no op moves a
+    label by more than its own size. So the switch p -> q with shortfall
+    sigma needs delays on q plus advances on p of at least sigma. Charging
+    q's delays to q's parent and p's advances to p, each parent's charge is
+    at least its largest sigma, and no op is charged twice. In delay mode
+    there are no advances: each child's delays alone cover its sigma.
+    """
+    if mode is Mode.DELAY:
+        return sum(max(0, sigma) for _, _, sigma in shortfalls)
+    worst: dict[int, int] = {}
+    for p, _, sigma in shortfalls:
+        if sigma > worst.get(p, 0):
+            worst[p] = sigma
+    return sum(worst.values())  # a sum of ints: the dict's order cannot matter
+
+
 def _best_priced(
     graph: TemporalKPathGraph, s: Vertex, site_sets: Iterable[tuple[Site, ...]], mode: Mode,
     b: int, limit_svss: int,
 ) -> _Candidate | None:
     """The affordable valid switch set (given as sites) whose suffixes cover
     the most, priced exactly; every set counts against limit_svss. Each set
-    is its own bound in _keep_best, so a set that prices at all becomes the
-    best, and its ops need no second pricing at b: within any budget c >= its
-    cheapest cost C the integer program has the same lex-smallest optimum,
-    which moves no amount by more than C."""
+    is its own bound in _keep_best, and its floor comes from its own sites
+    (_shortfalls). So a set that prices at all becomes the best, and its ops
+    need no second pricing at b: within any budget c >= its cheapest cost C
+    the integer program has the same lex-smallest optimum, which moves no
+    amount by more than C."""
     start = graph.source_path.find(graph.source)
+    labels = [path.labels for path in graph.paths]
 
     def price(sites: tuple[Site, ...], cap: list[int]) -> tuple[_Candidate, ...]:
         priced = _price_sites(graph, sites, start, mode, cap[0])
         return () if priced is None else ((priced[1], priced[0], sites),)
 
-    def bounded() -> Iterator[tuple[tuple[Site, ...], tuple[Site, ...]]]:
+    def bounded() -> Iterator[tuple[tuple[Site, ...], tuple[Site, ...], int]]:
         tick = _counter(limit_svss, "switch-vertex-sets")
         for sites in site_sets:
             tick()
-            yield sites, sites
+            yield sites, sites, _cost_floor(mode, _shortfalls(labels, sites))
 
     return _keep_best(graph, s, bounded(), price, b)
 
@@ -413,14 +443,16 @@ def _keep_best(
     """The first-seen candidate of largest (reach, -cost), reach being its
     sites' suffix union size, among every item's search at cap b.
 
-    bounded pairs each item with its bound's sites (None: no candidate);
-    search(item, cap) yields its candidates in a fixed order, less those
-    costing more than cap[0] as it stands. An item is searched only if its
-    bound reaches the best reach: at cap b if above it, else at one below
-    the best cost, which a new best reaching the bound lowers to its own.
+    bounded gives each item with its bound's sites (None: no candidate) and
+    its cost floor; search(item, cap) yields its candidates in a fixed order,
+    less those costing more than cap[0] as it stands. An item is searched
+    only if its bound reaches the best reach: at cap b if above it, else at
+    one below the best cost, which a new best reaching the bound lowers to
+    its own; and only if its floor is within that cap.
     - Bound: no candidate covers more. For a tree, both FPT searches put a
       child at a slot with pos_p above its parent's anchor, so root first
       each anchor is at or after the earliest one (see earliest_sites).
+    - Floor: no candidate costs less (_cost_floor).
     - Cap: every guess step costs >= 0, so a search may cut a partial guess
       once it spends past the cap.
     - Same winner: only a strictly greater (reach, -cost) replaces the best,
@@ -429,11 +461,13 @@ def _keep_best(
     union = _suffix_union_at(graph, s)
     best: _Candidate | None = None
     best_key = (-1, 0)
-    for item, at in bounded:
+    for item, at, floor in bounded:
         bound = -1 if at is None else len(union(at))
         if bound < best_key[0] or (bound == best_key[0] and best_key[1] == 0):
             continue
         cap = [b if bound > best_key[0] else -best_key[1] - 1]
+        if floor > cap[0]:
+            continue
         for ops, cost, sites in search(item, cap):
             key = (len(union(sites)), -cost)
             if key > best_key:
@@ -446,18 +480,71 @@ def _keep_best(
 
 
 def _best_tree(
-    graph: TemporalKPathGraph, s: Vertex, b: int, limit: int, what: str, search_on: Callable
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit: int, what: str,
+    search_on: Callable,
 ) -> BudgetedSolution:
     """The FPT solvers' driver: _keep_best over the trees under the source
-    path, each bounded by its earliest placement. search_on(slots, tick)
-    gives the per-tree search, which ticks once per guess it tries; the
-    count runs across trees, and the guess past limit raises
-    ResourceLimitError."""
-    slots, start = switch_slots(graph), graph.source_path.find(s)
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
-    bounded = ((spt, earliest_sites(graph, spt, start, slots)) for spt in trees)
+    path, each bounded by its earliest placement and floored by its edges'
+    lows (_tree_lows). search_on(slots, tick) gives the per-tree search,
+    which ticks once per guess it tries; the count runs across trees, and
+    the guess past limit raises ResourceLimitError."""
+    slots = switch_slots(graph)
+    lows_of = _tree_lows(graph, s, slots, _slot_shortfalls(graph, slots))
+
+    def bounded() -> Iterator[tuple[SwitchPathTree, list[Site] | None, int]]:
+        for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
+            got = lows_of(spt)
+            yield (spt, None, 0) if got is None else (spt, got[0], _cost_floor(mode, got[1]))
+
     search = search_on(slots, _counter(limit, what))
-    return _replayed(graph, s, _keep_best(graph, s, bounded, search, b))
+    return _replayed(graph, s, _keep_best(graph, s, bounded(), search, b))
+
+
+def _slot_shortfalls(
+    graph: TemporalKPathGraph, slots: SlotTable
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each slot's shortfall (_shortfalls), in the slot table's layout."""
+    labels = [path.labels for path in graph.paths]
+    return {
+        (p, c): tuple(
+            sigma for *_, sigma in _shortfalls(labels, [(p, pp, c, pc) for pp, pc in pairs])
+        )
+        for (p, c), pairs in slots.items()
+    }
+
+
+def _tree_lows(
+    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable,
+    sigmas: dict[tuple[int, int], tuple[int, ...]],
+) -> Callable[[SwitchPathTree], tuple[list[Site], list[tuple[int, int, int]]] | None]:
+    """lows_of(spt): spt's earliest placement (earliest_sites) and each of its
+    edges as (parent, child, low), or None if spt has no placement.
+
+    An edge's low is the least shortfall among its slots after its parent's
+    anchor in the earliest placement. Both FPT searches put every edge at
+    such a slot (see _keep_best's bound), so no candidate of the tree has a
+    switch short by less than its edge's low: _cost_floor of the lows is at
+    most any candidate's cost. sigmas is _slot_shortfalls(graph, slots).
+    """
+    src, start = graph.source_path_id, graph.source_path.find(s)
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def low(p: int, c: int, after: int) -> int:
+        key = (p, c, after)
+        if key not in memo:  # the earliest slot is among these, so there is one
+            memo[key] = min(
+                sigma for (pos_p, _), sigma in zip(slots[(p, c)], sigmas[(p, c)]) if pos_p > after
+            )
+        return memo[key]
+
+    def lows_of(spt: SwitchPathTree) -> tuple[list[Site], list[tuple[int, int, int]]] | None:
+        sites = earliest_sites(graph, spt, start, slots)
+        if sites is None:
+            return None
+        anchor = {src: start, **{c: pos_c for _, _, c, pos_c in sites}}
+        return sites, [(p, c, low(p, c, anchor[p])) for p, _, c, _ in sites]
+
+    return lows_of
 
 
 def _replayed(graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None) -> BudgetedSolution:
@@ -529,23 +616,26 @@ def solve_fixed_spt(
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
-def _splits(parts: int, cap: list[int]) -> Iterator[tuple[int, ...]]:
-    """Every split of at most cap[0] into parts nonnegative amounts, in lex
-    order: product(range(cap[0] + 1), repeat=parts) less those summing past
-    it. cap[0] may be lowered between tuples: a prefix is cut once its sum
-    passes it as it stands."""
+def _splits(lows: Sequence[int], cap: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every split of at most cap[0] into one amount per low, none below its
+    low, in lex order: product(range(cap[0] + 1), repeat=len(lows)) less
+    those summing past it or dipping below a low. cap[0] may be lowered
+    between tuples: a prefix is cut once it leaves no split within it as it
+    stands."""
+    parts = len(lows)
+    rest_low = [sum(lows[i:]) for i in range(1, parts + 1)]  # the lows after each part
 
-    def fill(parts: int, used: int) -> Iterator[tuple[int, ...]]:
-        amount = 0
-        while used + amount <= cap[0]:
-            if parts == 1:
+    def fill(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        amount = lows[i]
+        while used + amount + rest_low[i] <= cap[0]:
+            if i == parts - 1:
                 yield (amount,)
             else:
-                for rest in fill(parts - 1, used + amount):
+                for rest in fill(i + 1, used + amount):
                     yield (amount, *rest)
             amount += 1
 
-    return fill(parts, 0) if parts else iter([()])
+    return fill(0, 0) if parts else iter([()])
 
 
 def solve_fpt_delay(
@@ -562,55 +652,68 @@ def solve_fpt_delay(
     suffix and leaves descendants the most room. Trees and splits that
     cannot beat the best so far are skipped (_keep_best). limit_states caps
     the (tree, split) guesses tried, counted as they are tried: with nothing
-    skipped a tree of E edges has C(E + b, b) splits.
+    skipped a tree of E edges whose lows (_tree_lows) sum to L <= b has
+    C(E + b - L, E) splits, as no split below a low is tried.
     """
     _check_budget(b)
     _require_source(graph, s)
     search_on = functools.partial(_delay_search, graph, s)
-    return _best_tree(graph, s, b, limit_states, "fpt-delay guesses", search_on)
+    return _best_tree(graph, s, b, Mode.DELAY, limit_states, "fpt-delay guesses", search_on)
 
 
 def _delay_search(
     graph: TemporalKPathGraph, s: Vertex, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
     """fpt-delay's search of one tree: each split within the cap, in lex order,
-    each a tick. A child's earliest workable slot depends only on (parent,
-    child, parent anchor, parent delay, child delay), so each is found once
-    per solve."""
+    each a tick, with each child's delay at least its edge's low (_tree_lows):
+    a switch fits only if its child's delay covers its shortfall, so a
+    split below a low never places. A child's earliest workable slot depends
+    only on (parent, child, parent anchor, parent delay, child delay), so
+    each is found once per solve; a child delay past the parent's plus the
+    pair's largest shortfall fits every slot, so it is memoized as that."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
+    sigmas = _slot_shortfalls(graph, slots)
+    most = {pair: max(pair_sigmas, default=0) for pair, pair_sigmas in sigmas.items()}
+    lows_of = _tree_lows(graph, s, slots, sigmas)
     earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
     delay = {src: 0}  # the split being placed, set on every tree path before each placement
 
     def first_fit(parent: int, child: int, after: int) -> tuple[int, int] | None:
-        key = (parent, child, after, delay[parent], delay[child])
+        pair, d_p = (parent, child), delay[parent]
+        d_c = min(delay[child], d_p + most[pair])
+        key = (parent, child, after, d_p, d_c)
         try:
             return earliest[key]
         except KeyError:
-            ppath, clabels = graph.paths[parent], graph.paths[child].labels
+            ppath = graph.paths[parent]
+            # the temporality condition, with the delay carried to the switch
             slot = earliest[key] = next(
                 (
-                    (pos_p, pos_c)
-                    for pos_p, pos_c in slots[(parent, child)]
-                    if pos_p > after
-                    and ppath.labels[pos_p - 1] + max(0, key[3] - edge_gap(ppath, after, pos_p - 1))
-                    < clabels[pos_c] + key[4]
+                    slot
+                    for slot, sigma in zip(slots[pair], sigmas[pair])
+                    if slot[0] > after
+                    and sigma + max(0, d_p - edge_gap(ppath, after, slot[0] - 1)) <= d_c
                 ),
                 None,
             )
             return slot
 
     def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
+        got = lows_of(spt)
+        if got is None:
+            return  # no slot for some edge: every split strands it
+        low = {c: max(0, sigma) for _, c, sigma in got[1]}
         children = [child for child, _ in spt.parents]
         order = list(root_first(src, spt.children_of))
-        for split in _splits(len(children), cap):
+        for split in _splits([low[c] for c in children], cap):
             tick()
             delay.update(zip(children, split))
             sites = place_switches(graph, order, pos_s, first_fit)
             if sites is None:
                 continue
             ops = _canonical_ops({(c, pos_c): delay[c] for _, _, c, pos_c in sites if delay[c]})
-            # the fit test is the temporality condition, verbatim
+            # the fit test is the temporality condition
             assert _all_temporal(_shifted_labels(graph, ops), sites)
             yield ops, sum(split), tuple(sites)
 
@@ -684,7 +787,7 @@ def solve_fpt_general(
     _check_budget(b)
     _require_source(graph, s)
     search_on = functools.partial(_general_search, graph, s, b, mode)
-    return _best_tree(graph, s, b, limit_states, "fpt-general guesses", search_on)
+    return _best_tree(graph, s, b, mode, limit_states, "fpt-general guesses", search_on)
 
 
 def _general_search(

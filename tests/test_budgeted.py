@@ -43,14 +43,18 @@ from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
     DEFAULT_STATE_LIMIT,
     _canonical_ops,
+    _cost_floor,
     _counter,
     _delay_search,
     _general_search,
     _net_vectors,
     _price_sites,
     _replayed_labels,
+    _shortfalls,
+    _slot_shortfalls,
     _slots_by_gap,
     _splits,
+    _tree_lows,
     min_cost_for_svs,
     net_vector_count,
     solve_fixed_spt,
@@ -64,6 +68,8 @@ from tpshift.switch_structures import (
     EMPTY_SVS,
     Switch,
     SwitchPathTree,
+    _sites_of,
+    earliest_sites,
     enumerate_spts,
     enumerate_svss,
     implied_spt,
@@ -606,6 +612,28 @@ class TestFptDelay:
             assert all(op.path_id != g.source_path_id for op in sol.ops)
             assert all(op.delta > 0 for op in sol.ops)
 
+    def test_memo_stops_growing_with_the_budget(self, monkeypatch):
+        # each earliest slot the search has not memoized is found by a scan
+        # that calls edge_gap; a child delay past the parent's plus the
+        # pair's largest shortfall fits every slot, so it finds what a
+        # smaller one did, and a larger budget adds no scans
+        g = gen_random(3, 5, 15, 0.6, 1)
+        scans = [0]
+        real = solver_budgeted.edge_gap
+
+        def counting(*args):
+            scans[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver_budgeted, "edge_gap", counting)
+        seen = {}
+        for b in (50, 300):
+            scans[0] = 0
+            sol = solve_fpt_delay(g, "s", b)
+            seen[b] = (sol.cost, len(sol.reached), scans[0])
+        assert seen[50] == seen[300]
+        assert seen[50][:2] == (12, 8)
+
     @pytest.mark.parametrize("case", range(10))
     def test_agrees_with_budget_search(self, case):
         g = small_graph(8500 + case, k=2 + case % 2, share_prob=0.6)
@@ -815,11 +843,30 @@ class TestGeneralGuessLimit:
 class TestDelayGuessLimit:
     @pytest.mark.parametrize("b", range(5))
     def test_the_unpruned_search_counts_every_split(self, tight_chain, boarded_twice, b):
-        # with no tree skipped, fpt-delay tries C(E + b, b) splits of a tree
-        # of E edges, whether or not they place
+        # with no tree skipped, fpt-delay tries the C(E + b - L, E) splits of
+        # a tree of E edges that give each edge at least its low, whether or
+        # not they place; L is the sum of the lows, and a tree with L > b or
+        # no placement tries none. An edge's low is its least shortfall (the
+        # delay its switch needs) over the slots after its parent's anchor
+        # in the earliest placement
         for g in (tight_chain, boarded_twice, gen_random(4, 4, 10, 0.8, 5)):
-            trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
-            count = sum(math.comb(len(spt.parents) + b, b) for spt in trees)
+            slots, labels = switch_slots(g), [p.labels for p in g.paths]
+            count = 0
+            for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+                sites = earliest_sites(g, spt, 0, slots)
+                if sites is None:
+                    continue
+                anchor = {g.source_path_id: 0, **{c: pos_c for _, _, c, pos_c in sites}}
+                lows = sum(
+                    max(0, min(
+                        labels[p][pos_p - 1] - labels[c][pos_c] + 1
+                        for pos_p, pos_c in slots[(p, c)]
+                        if pos_p > anchor[p]
+                    ))
+                    for p, _, c, _ in sites
+                )
+                if lows <= b:
+                    count += math.comb(len(spt.parents) + b - lows, len(spt.parents))
             _delay_guesses(g, "s", b, count)
             with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-delay"):
                 _delay_guesses(g, "s", b, count - 1)
@@ -882,17 +929,23 @@ class TestDelaySplits:
     @pytest.mark.parametrize("parts", range(4))
     def test_splits_come_in_the_filtered_products_order(self, parts):
         for b in range(7):
-            want = [t for t in product(range(b + 1), repeat=parts) if sum(t) <= b]
-            assert list(_splits(parts, [b])) == want, b
+            for lows in product(range(3), repeat=parts):
+                want = [
+                    t
+                    for t in product(range(b + 1), repeat=parts)
+                    if sum(t) <= b and all(a >= low for a, low in zip(t, lows))
+                ]
+                assert list(_splits(lows, [b])) == want, (b, lows)
 
     def test_guess_limit_trips(self, tight_chain):
         # the guesses tried at b=2: the root-only tree's one split; 1:0 at
-        # delay 0, which reaches its bound; 1:0, 2:1 at (0, 0), stranded, and
-        # at (0, 1), which reaches all 7 vertices at cost 1, so nothing else
-        # is tried (25 splits with nothing skipped)
-        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=4).cost == 1
-        with pytest.raises(ResourceLimitError, match="more than 3 fpt-delay guesses"):
-            solve_fpt_delay(tight_chain, "s", 2, limit_states=3)
+        # delay 0, which reaches its bound; 1:0, 2:1 at (0, 1), which reaches
+        # all 7 vertices at cost 1, so nothing else is tried. Path 2 needs a
+        # delay of 1 at c, 2:1's low, so (0, 0) is not tried (25 splits with
+        # nothing skipped)
+        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=3).cost == 1
+        with pytest.raises(ResourceLimitError, match="more than 2 fpt-delay guesses"):
+            solve_fpt_delay(tight_chain, "s", 2, limit_states=2)
 
 
 @st.composite
@@ -973,3 +1026,98 @@ class TestFptSolversSkipWhatCannotWin:
         ]
         assert sols[0] == sols[1] == sols[2] == sols[3]
         assert (sols[0].cost, len(sols[0].reached)) == (12, 8)
+
+
+@pytest.fixture
+def one_advance_serves_two():
+    """Paths 1 and 2 leave path 0 at a and at b, each switch short by 1.
+
+    One advance on path 0's edge into b drags its edge into a back along,
+    so cost 1 buys both switches without delays; delays need one each.
+    """
+    return graph_of(path(0, "s a b", (5, 6)), path(1, "a c", (5,)), path(2, "b d", (6,)))
+
+
+def _floor_of(g, svs, mode):
+    return _cost_floor(mode, _shortfalls([p.labels for p in g.paths], _sites_of(g, svs)))
+
+
+class TestCostFloors:
+    """A switch set or tree whose cost floor exceeds the cap it would be
+    searched at is skipped; every skip must rest on a true lower bound."""
+
+    BOTH = make_svs([Switch("a", 0, 1), Switch("b", 0, 2)])
+
+    @pytest.mark.parametrize("mode", (Mode.ADVANCE, Mode.SHIFT))
+    def test_one_advance_on_a_parent_counts_once(self, one_advance_serves_two, mode):
+        # a floor summing each switch's shortfall would be 2 > 1 and skip the
+        # set and the tree that reach all five vertices at cost 1
+        g = one_advance_serves_two
+        assert _floor_of(g, self.BOTH, mode) == 1
+        assert min_cost_for_svs(g, self.BOTH, mode, 1) == (1, (ShiftOperation(0, 1, -1),))
+        want = solve_xp_by_b(g, "s", 1, mode)
+        assert (want.cost, want.reached) == (1, frozenset("sabcd"))
+        tree = SwitchPathTree(((1, 0), (2, 0)))
+        for sol in (
+            solve_xp_by_k(g, "s", 1, mode),
+            solve_fpt_general(g, "s", 1, mode),
+            solve_fixed_spt(g, "s", 1, mode, tree),
+        ):
+            assert (sol.cost, sol.reached, sol.witness_svs) == (1, want.reached, self.BOTH)
+
+    def test_delays_count_per_child(self, one_advance_serves_two, monkeypatch):
+        # in delay mode each child pays its own shortfall: the set costs 2,
+        # its floor, so at b=1 it is skipped unpriced
+        g = one_advance_serves_two
+        assert _floor_of(g, self.BOTH, Mode.DELAY) == 2
+        assert min_cost_for_svs(g, self.BOTH, Mode.DELAY, 2)[0] == 2
+        assert min_cost_for_svs(g, self.BOTH, Mode.DELAY, 1) is None
+        priced = []
+        real = solver_budgeted._price_sites
+
+        def recording(graph, sites, *args):
+            priced.append(len(sites))
+            return real(graph, sites, *args)
+
+        monkeypatch.setattr(solver_budgeted, "_price_sites", recording)
+        sol = solve_xp_by_k(g, "s", 1, Mode.DELAY)
+        assert (sol.cost, len(sol.reached)) == (1, 4)
+        assert 2 not in priced
+        assert solve_fpt_delay(g, "s", 2).cost == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(_small_case())
+    def test_nothing_costs_less_than_its_floor(self, case):
+        g, s, b, mode = case
+        for svs in enumerate_svss(g):
+            floor = _floor_of(g, svs, mode)
+            priced = min_cost_for_svs(g, svs, mode, b)
+            assert priced is None or priced[0] >= floor, svs
+            # no unit sequence below the floor makes the set temporal
+            if floor > 0:
+                assert min_cost_for_svs_brute(g, svs, mode, min(b, floor - 1)) is None, svs
+        slots = switch_slots(g)
+        lows_of = _tree_lows(g, s, slots, _slot_shortfalls(g, slots))
+        tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
+        searches = (
+            (_delay_search(g, s, slots, tick), Mode.DELAY),
+            (_general_search(g, s, b, mode, slots, tick), mode),
+        )
+        lows = {}
+        for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+            got = lows_of(spt)
+            for search, search_mode in searches:
+                candidates = list(search(spt, [b]))
+                if got is None:
+                    assert candidates == [], spt
+                else:
+                    floor = _cost_floor(search_mode, got[1])
+                    assert all(cost >= floor for _, cost, _ in candidates), spt
+            if got is not None:
+                lows[spt] = {c: low for _, c, low in got[1]}
+        # the full product of delay splits: none with a delay below its
+        # edge's low places
+        for ops, _, svs in fpt_delay_candidates_by_product(g, s, b):
+            delays = {op.path_id: op.delta for op in ops}
+            for child, low in lows[implied_spt(svs)].items():
+                assert delays.get(child, 0) >= low, svs

@@ -23,6 +23,7 @@ from conftest import graph_of, path
 from tpshift import cli
 from tpshift.cli import DOC_FORMAT, main
 from tpshift.graph_core import parse_instance, validate, write_instance
+from tpshift.instances import gen_random
 
 I1_TEXT = """\
 kpathgraph v1
@@ -191,13 +192,14 @@ class TestSolve:
 
     def test_fpt_delay_limit_counts_guesses(self, tmp_path, capsys, i1_file):
         # trees under path 0: the root-only tree and 1:0; at b=2 fpt-delay
-        # tries the root-only tree's one split, then delays 0 and 1 on 1:0.
-        # Delay 1 reaches the tree's bound, so delay 2 is cut: 3 of the
-        # C(0 + 2, 2) + C(1 + 2, 2) = 4 (tree, delay split) guesses.
+        # tries the root-only tree's one split, then delay 1 on 1:0: its
+        # switch is short by 1, so delay 0 is not tried. Delay 1 reaches the
+        # tree's bound, so delay 2 is cut: 2 of the C(0 + 2, 2) + C(1 + 2, 2)
+        # = 4 (tree, delay split) guesses.
         args = ["solve", str(i1_file), "--algo", "fpt-delay", "--mode", "delay", "--budget", "2"]
-        assert main([*args, "--limit-states", "3"]) == 0
-        assert main([*args, "--limit-states", "2"]) == 4
-        assert "more than 2 fpt-delay guesses" in capsys.readouterr().err
+        assert main([*args, "--limit-states", "2"]) == 0
+        assert main([*args, "--limit-states", "1"]) == 4
+        assert "more than 1 fpt-delay guesses" in capsys.readouterr().err
 
     def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys):
         # test_budgeted's boarded_twice: fpt-general makes 3 guesses at b=1
@@ -530,6 +532,54 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+_SOLVE_EACH = """
+import contextlib, io, re, sys
+from tpshift.cli import main
+
+for inst in sys.argv[1:]:
+    for args in (
+        ["--algo", "xp-b", "--mode", "shift", "--budget", "2"],
+        ["--algo", "xp-k", "--mode", "shift", "--budget", "3"],
+        ["--algo", "fpt-delay", "--mode", "delay", "--budget", "3"],
+        ["--algo", "fpt-general", "--mode", "shift", "--budget", "2"],
+        ["--algo", "unbounded"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", inst, *args])
+        print(code, re.sub(r'"wall_time_ms": [0-9]+', "", out.getvalue()))
+"""
+
+
+class TestSolveIsDeterministic:
+    def test_documents_do_not_follow_the_hash_seed(self, tmp_path):
+        # the solvers keep sets and dicts of vertex names, whose order
+        # follows string hashing, which changes with PYTHONHASHSEED; odd
+        # instances take a mid-path source, so normalize_source adds a path
+        files = []
+        for i in range(8):
+            g = gen_random(3, 4, 10, 0.6, 700 + i)
+            text = write_instance(g)
+            if i % 2:
+                text = text.replace(f"source {g.source}", f"source {g.paths[0].vertices[1]}")
+            files.append(tmp_path / f"g{i}.kpg")
+            files[-1].write_text(text)
+        src = str(Path(cli.__file__).parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _SOLVE_EACH, *map(str, files)],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0].startswith("0 {")
+        assert runs[0].count("\n0 {") == 5 * len(files) - 1  # every solve exits 0
 
 
 class TestInstanceHash:
