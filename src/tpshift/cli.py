@@ -500,7 +500,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return globals()[args.func](args)
-    except (ParseError, ParameterError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidInstanceError as exc:

@@ -10,14 +10,14 @@ solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
 
-All but xp-b keep their best in _keep_best, searching only what can win,
-and count their work as they do it (_counter). xp-b counts its vectors up
-front, the exact size of its full scan.
+All but xp-b keep their best in _best_tree, one switch-path tree at a time,
+searching only what can win, and count their work as they do it
+(_counter). xp-b counts its vectors up front, the exact size of its full
+scan.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_left
@@ -53,7 +53,6 @@ from .switch_structures import (
     _all_temporal,
     _sites_of,
     _suffix_union_at,
-    _valid_site_sets,
     earliest_sites,
     enumerate_spts,
     is_valid_svs,
@@ -410,131 +409,80 @@ def _cost_floor(mode: Mode, shortfalls: Iterable[tuple[int, int, int]]) -> int:
     return sum(worst.values())  # a sum of ints: the dict's order cannot matter
 
 
-def _best_priced(
-    graph: TemporalKPathGraph, s: Vertex, site_sets: Iterable[tuple[Site, ...]], mode: Mode,
-    b: int, limit_svss: int,
-) -> _Candidate | None:
-    """The affordable valid switch set (given as sites) whose suffixes cover
-    the most, priced exactly; every set counts against limit_svss. Each set
-    is its own bound in _keep_best, and its floor comes from its own sites
-    (_shortfalls). So a set that prices at all becomes the best, and its ops
-    need no second pricing at b: within any budget c >= its cheapest cost C
-    the integer program has the same lex-smallest optimum, which moves no
-    amount by more than C."""
-    start = graph.source_path.find(graph.source)
-    labels = [path.labels for path in graph.paths]
-
-    def price(sites: tuple[Site, ...], cap: list[int]) -> tuple[_Candidate, ...]:
-        priced = _price_sites(graph, sites, start, mode, cap[0])
-        return () if priced is None else ((priced[1], priced[0], sites),)
-
-    def bounded() -> Iterator[tuple[tuple[Site, ...], tuple[Site, ...], int]]:
-        tick = _counter(limit_svss, "switch-vertex-sets")
-        for sites in site_sets:
-            tick()
-            yield sites, sites, _cost_floor(mode, _shortfalls(labels, sites))
-
-    return _keep_best(graph, s, bounded(), price, b)
-
-
-def _keep_best(
-    graph: TemporalKPathGraph, s: Vertex, bounded: Iterable, search: Callable, b: int
+def _best_tree(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
+    trees: Iterable[SwitchPathTree], search: Callable,
 ) -> _Candidate | None:
     """The first-seen candidate of largest (reach, -cost), reach being its
-    sites' suffix union size, among every item's search at cap b.
+    sites' suffix union size, over every tree's search: the one keep-best
+    loop of every solver here but xp-b. slots covers the trees' edges.
 
-    bounded gives each item with its bound's sites (None: no candidate) and
-    its cost floor; search(item, cap) yields its candidates in a fixed order,
-    less those costing more than cap[0] as it stands. An item is searched
-    only if its bound reaches the best reach: at cap b if above it, else at
-    one below the best cost, which a new best reaching the bound lowers to
-    its own; and only if its floor is within that cap.
-    - Bound: no candidate covers more. For a tree, both FPT searches put a
-      child at a slot with pos_p above its parent's anchor, so root first
-      each anchor is at or after the earliest one (see earliest_sites).
-    - Floor: no candidate costs less (_cost_floor).
+    search(spt, lows, bound, cap) yields a tree's candidates in a fixed
+    order, given the tree's edges as (parent, child, low) (_tree_lows) and
+    its bound. It asks cap(reach, floor) for the most a candidate of that
+    reach, costing at least floor, may cost and still win: b above the best
+    reach, one below the best cost at it, and -1 otherwise or when floor is
+    past that. The answer moves only when search yields, so a search may
+    keep it between yields. A tree is searched only if cap(bound, floor) is
+    not -1, bound being the suffix union size of its earliest placement and
+    floor _cost_floor of its lows.
+    - Bound: no candidate covers more. tree_sites and both FPT searches put
+      each child's switch strictly after its parent's anchor, so root first
+      every anchor is at or after the earliest one (earliest_sites).
+    - Floor: no candidate costs less: none has a switch short by less than
+      its edge's low (_tree_lows), and _cost_floor only grows with them.
     - Cap: every guess step costs >= 0, so a search may cut a partial guess
       once it spends past the cap.
     - Same winner: only a strictly greater (reach, -cost) replaces the best,
-      and no candidate skipped or cut is.
+      and no candidate skipped or cut is; a tree's search ends once one
+      reaches its bound at no cost.
     """
     union = _suffix_union_at(graph, s)
+    lows_of = _tree_lows(graph, s, slots)
     best: _Candidate | None = None
-    best_key = (-1, 0)
-    for item, at, floor in bounded:
-        bound = -1 if at is None else len(union(at))
-        if bound < best_key[0] or (bound == best_key[0] and best_key[1] == 0):
+    best_reach, best_cost = -1, 0
+
+    def cap(reach: int, floor: int) -> int:
+        top = b if reach > best_reach else best_cost - 1 if reach == best_reach else -1
+        return top if floor <= top else -1
+
+    for spt in trees:
+        got = lows_of(spt)
+        if got is None:
+            continue  # an edge has no slot, so the tree has no valid set
+        bound = len(union(got[0]))
+        if cap(bound, _cost_floor(mode, got[1])) < 0:
             continue
-        cap = [b if bound > best_key[0] else -best_key[1] - 1]
-        if floor > cap[0]:
-            continue
-        for ops, cost, sites in search(item, cap):
-            key = (len(union(sites)), -cost)
-            if key > best_key:
-                best, best_key = (ops, cost, sites), key
-                if key[0] == bound:
-                    if cost == 0:
-                        break  # a search keeps no state past its item
-                    cap[0] = cost - 1
+        for ops, cost, sites in search(spt, got[1], bound, cap):
+            reach = len(union(sites))
+            if (reach, -cost) > (best_reach, -best_cost):
+                best, best_reach, best_cost = (ops, cost, sites), reach, cost
+                if reach == bound and cost == 0:
+                    break
     return best
 
 
-def _best_tree(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, limit: int, what: str,
-    search_on: Callable,
-) -> BudgetedSolution:
-    """The FPT solvers' driver: _keep_best over the trees under the source
-    path, each bounded by its earliest placement and floored by its edges'
-    lows (_tree_lows). search_on(slots, tick) gives the per-tree search,
-    which ticks once per guess it tries; the count runs across trees, and
-    the guess past limit raises ResourceLimitError."""
-    slots = switch_slots(graph)
-    lows_of = _tree_lows(graph, s, slots, _slot_shortfalls(graph, slots))
-
-    def bounded() -> Iterator[tuple[SwitchPathTree, list[Site] | None, int]]:
-        for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
-            got = lows_of(spt)
-            yield (spt, None, 0) if got is None else (spt, got[0], _cost_floor(mode, got[1]))
-
-    search = search_on(slots, _counter(limit, what))
-    return _replayed(graph, s, _keep_best(graph, s, bounded(), search, b))
-
-
-def _slot_shortfalls(
-    graph: TemporalKPathGraph, slots: SlotTable
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Each slot's shortfall (_shortfalls), in the slot table's layout."""
-    labels = [path.labels for path in graph.paths]
-    return {
-        (p, c): tuple(
-            sigma for *_, sigma in _shortfalls(labels, [(p, pp, c, pc) for pp, pc in pairs])
-        )
-        for (p, c), pairs in slots.items()
-    }
-
-
 def _tree_lows(
-    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable,
-    sigmas: dict[tuple[int, int], tuple[int, ...]],
+    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable
 ) -> Callable[[SwitchPathTree], tuple[list[Site], list[tuple[int, int, int]]] | None]:
     """lows_of(spt): spt's earliest placement (earliest_sites) and each of its
     edges as (parent, child, low), or None if spt has no placement.
 
-    An edge's low is the least shortfall among its slots after its parent's
-    anchor in the earliest placement. Both FPT searches put every edge at
-    such a slot (see _keep_best's bound), so no candidate of the tree has a
-    switch short by less than its edge's low: _cost_floor of the lows is at
-    most any candidate's cost. sigmas is _slot_shortfalls(graph, slots).
+    An edge's low is the least shortfall (_shortfalls) among its slots after
+    its parent's anchor in the earliest placement. Every search puts each
+    edge at such a slot (see _best_tree's bound), so no candidate of the
+    tree has a switch short by less than its edge's low: _cost_floor of the
+    lows is at most any candidate's cost.
     """
     src, start = graph.source_path_id, graph.source_path.find(s)
+    labels = [path.labels for path in graph.paths]
     memo: dict[tuple[int, int, int], int] = {}
 
     def low(p: int, c: int, after: int) -> int:
         key = (p, c, after)
         if key not in memo:  # the earliest slot is among these, so there is one
-            memo[key] = min(
-                sigma for (pos_p, _), sigma in zip(slots[(p, c)], sigmas[(p, c)]) if pos_p > after
-            )
+            later = [(p, pos_p, c, pos_c) for pos_p, pos_c in slots[(p, c)] if pos_p > after]
+            memo[key] = min(sigma for *_, sigma in _shortfalls(labels, later))
         return memo[key]
 
     def lows_of(spt: SwitchPathTree) -> tuple[list[Site], list[tuple[int, int, int]]] | None:
@@ -565,6 +513,33 @@ def _shifted_labels(
     return labels
 
 
+def _set_search(
+    graph: TemporalKPathGraph, s: Vertex, mode: Mode, slots: SlotTable, tick: Callable[[], None]
+) -> Callable:
+    """xp-k's and fixed-spt's search of one tree: each of its valid switch
+    sets (tree_sites), each a tick, priced exactly within cap(its own suffix
+    union size, _cost_floor of its own _shortfalls) unless that is -1. So a
+    set that prices at all becomes the best, and its ops need no second
+    pricing at b: within any budget c >= its cheapest cost C the integer
+    program has the same lex-smallest optimum, which moves no amount by
+    more than C."""
+    start = graph.source_path.find(graph.source)
+    labels = [path.labels for path in graph.paths]
+    union = _suffix_union_at(graph, s)
+
+    def search(
+        spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
+    ) -> Iterator[_Candidate]:
+        for sites in tree_sites(graph, spt, slots):
+            tick()
+            top = cap(len(union(sites)), _cost_floor(mode, _shortfalls(labels, sites)))
+            priced = None if top < 0 else _price_sites(graph, sites, start, mode, top)
+            if priced is not None:
+                yield priced[1], priced[0], sites
+
+    return search
+
+
 def solve_xp_by_k(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -573,11 +548,15 @@ def solve_xp_by_k(
     limit_svss: int = DEFAULT_SVS_LIMIT,
 ) -> BudgetedSolution:
     """Optimum via switch-set enumeration: the affordable valid switch set whose
-    suffixes cover the most (ties: cheaper, then first seen; _best_priced)."""
+    suffixes cover the most (ties: cheaper, then first seen), tree by tree
+    (_best_tree, _set_search). limit_svss counts the sets of the trees
+    searched."""
     _check_budget(b)
     _require_source(graph, s)
-    best = _best_priced(graph, s, _valid_site_sets(graph), mode, b, limit_svss)
-    return _replayed(graph, s, best)
+    slots = switch_slots(graph)
+    search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
 
 
 def solve_fixed_spt(
@@ -595,7 +574,8 @@ def solve_fixed_spt(
     affordable switch set induces the tree, returns the bare source-path
     suffix with no ops and an empty witness, never None; a tree with edges
     then has fewer switches than edges. The tree is rooted at the source
-    path, graph.source_path_id. limit_svss counts only this tree's sets.
+    path, graph.source_path_id. limit_svss counts only this tree's sets,
+    and none if the tree's floor is past b (_best_tree).
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -610,26 +590,29 @@ def solve_fixed_spt(
         raise ParameterError(f"tree does not hang together under the source path (path {root})")
 
     slots = switch_slots(graph, [(parent, child) for child, parent in spt.parents])
-    best = _best_priced(graph, s, tree_sites(graph, spt, slots), mode, b, limit_svss)
-    ops, cost, sites = best or ((), 0, ())
+    search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
+    ops, cost, sites = _best_tree(graph, s, b, mode, slots, [spt], search) or ((), 0, ())
     reached = frozenset(_suffix_union_at(graph, s)(sites))
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
-def _splits(lows: Sequence[int], cap: list[int]) -> Iterator[tuple[int, ...]]:
-    """Every split of at most cap[0] into one amount per low, none below its
-    low, in lex order: product(range(cap[0] + 1), repeat=len(lows)) less
-    those summing past it or dipping below a low. cap[0] may be lowered
-    between tuples: a prefix is cut once it leaves no split within it as it
-    stands."""
+def _splits(lows: Sequence[int], top: Callable[[], int]) -> Iterator[tuple[int, ...]]:
+    """Every split of at most top() into one amount per low, none below its
+    low, in lex order: product(range(top() + 1), repeat=len(lows)) less
+    those summing past it or dipping below a low. top() is asked again after
+    each split and may be lower: a prefix is cut once it leaves no split
+    within it as it stands."""
     parts = len(lows)
     rest_low = [sum(lows[i:]) for i in range(1, parts + 1)]  # the lows after each part
+    cap = top()
 
     def fill(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        nonlocal cap
         amount = lows[i]
-        while used + amount + rest_low[i] <= cap[0]:
+        while used + amount + rest_low[i] <= cap:
             if i == parts - 1:
                 yield (amount,)
+                cap = top()
             else:
                 for rest in fill(i + 1, used + amount):
                     yield (amount, *rest)
@@ -650,32 +633,37 @@ def solve_fpt_delay(
     the earliest vertex whose labels work out after propagation; guesses
     that strand a switch are dropped: earliest placement opens the longest
     suffix and leaves descendants the most room. Trees and splits that
-    cannot beat the best so far are skipped (_keep_best). limit_states caps
+    cannot beat the best so far are skipped (_best_tree). limit_states caps
     the (tree, split) guesses tried, counted as they are tried: with nothing
     skipped a tree of E edges whose lows (_tree_lows) sum to L <= b has
     C(E + b - L, E) splits, as no split below a low is tried.
     """
     _check_budget(b)
     _require_source(graph, s)
-    search_on = functools.partial(_delay_search, graph, s)
-    return _best_tree(graph, s, b, Mode.DELAY, limit_states, "fpt-delay guesses", search_on)
+    slots = switch_slots(graph)
+    search = _delay_search(graph, s, slots, _counter(limit_states, "fpt-delay guesses"))
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, slots, trees, search))
 
 
 def _delay_search(
     graph: TemporalKPathGraph, s: Vertex, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
-    """fpt-delay's search of one tree: each split within the cap, in lex order,
-    each a tick, with each child's delay at least its edge's low (_tree_lows):
-    a switch fits only if its child's delay covers its shortfall, so a
-    split below a low never places. A child's earliest workable slot depends
+    """fpt-delay's search of one tree: each split within cap(bound, 0), in lex
+    order, each a tick, with each child's delay at least its edge's low: a
+    switch fits only if its child's delay covers its shortfall, so a split
+    below a low never places. A child's earliest workable slot depends
     only on (parent, child, parent anchor, parent delay, child delay), so
     each is found once per solve; a child delay past the parent's plus the
     pair's largest shortfall fits every slot, so it is memoized as that."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    sigmas = _slot_shortfalls(graph, slots)
+    labels = [path.labels for path in graph.paths]
+    sigmas = {  # each slot's shortfall, in the slot table's layout
+        (p, c): [sigma for *_, sigma in _shortfalls(labels, [(p, pp, c, pc) for pp, pc in pairs])]
+        for (p, c), pairs in slots.items()
+    }
     most = {pair: max(pair_sigmas, default=0) for pair, pair_sigmas in sigmas.items()}
-    lows_of = _tree_lows(graph, s, slots, sigmas)
     earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
     delay = {src: 0}  # the split being placed, set on every tree path before each placement
 
@@ -699,14 +687,13 @@ def _delay_search(
             )
             return slot
 
-    def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
-        got = lows_of(spt)
-        if got is None:
-            return  # no slot for some edge: every split strands it
-        low = {c: max(0, sigma) for _, c, sigma in got[1]}
+    def search(
+        spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
+    ) -> Iterator[_Candidate]:
+        low = {c: max(0, sigma) for _, c, sigma in lows}
         children = [child for child, _ in spt.parents]
         order = list(root_first(src, spt.children_of))
-        for split in _splits([low[c] for c in children], cap):
+        for split in _splits([low[c] for c in children], lambda: cap(bound, 0)):
             tick()
             delay.update(zip(children, split))
             sites = place_switches(graph, order, pos_s, first_fit)
@@ -771,7 +758,7 @@ def solve_fpt_general(
     search guesses child by child, families root first, and lays each
     family out greedily as soon as its last child is guessed, siblings whose
     guesses interlock exactly being placed as one rigid batch. Trees and
-    guesses that cannot beat the best so far are skipped (_keep_best).
+    guesses that cannot beat the best so far are skipped (_best_tree).
     limit_states caps the guesses made, counted as they are made.
 
     The survivors are those of guessing everything and then laying out each
@@ -786,8 +773,11 @@ def solve_fpt_general(
     """
     _check_budget(b)
     _require_source(graph, s)
-    search_on = functools.partial(_general_search, graph, s, b, mode)
-    return _best_tree(graph, s, b, mode, limit_states, "fpt-general guesses", search_on)
+    slots = switch_slots(graph)
+    tick = _counter(limit_states, "fpt-general guesses")
+    search = _general_search(graph, s, b, mode, slots, tick)
+    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
 
 
 def _general_search(
@@ -795,7 +785,7 @@ def _general_search(
     tick: Callable[[], None],
 ) -> Callable:
     """fpt-general's search of one tree: each sibling order and guess within
-    the cap, each a tick. Each search has its own state."""
+    cap(bound, 0), each a tick. Each search has its own state."""
     src = graph.source_path_id
     slots = _slots_by_gap(graph, table)
     # per path pair: each label gap, ascending, with its last slot's pos on the parent
@@ -806,16 +796,21 @@ def _general_search(
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
 
-    def search(spt: SwitchPathTree, cap: list[int]) -> Iterator[_Candidate]:
+    def search(
+        spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
+    ) -> Iterator[_Candidate]:
         # The search state, with chain and sigma set per sibling order below.
         # extend takes back its sites on the way back; a path's guess and
-        # anchor are always set on the current branch before they are read.
+        # anchor are always set on the current branch before they are read;
+        # top is the cap, asked again after each candidate.
         anchor = {src: graph.source_path.find(s)}
         assign: dict[int, _Guess] = {}
         sites: list[Site] = []
+        top = cap(bound, 0)
 
         def extend(i: int, spent: int) -> Iterator[_Candidate]:
-            left = cap[0] - spent
+            nonlocal top
+            left = top - spent
             if left < 0:
                 return
             if i == len(chain):
@@ -830,6 +825,7 @@ def _general_search(
                 # a laid-out guess replays temporal
                 assert _all_temporal(_shifted_labels(graph, ops), sites)
                 yield ops, spent, tuple(sites)
+                top = cap(bound, 0)
                 return
             parent, child, idx = chain[i]
             kids = sigma[parent]

@@ -51,7 +51,6 @@ from tpshift.solver_budgeted import (
     _price_sites,
     _replayed_labels,
     _shortfalls,
-    _slot_shortfalls,
     _slots_by_gap,
     _splits,
     _tree_lows,
@@ -82,24 +81,40 @@ from tpshift.switch_structures import (
 )
 
 
-def _unpruned(g, s, b, search_on, what, limit):
+def _searched(search, spt, got, b):
+    """Every candidate of a per-tree search of spt at cap b, none skipped,
+    got being the tree's lows_of (_tree_lows): the search without
+    _best_tree. A tree with no placement is searched with lows None."""
+    return list(search(spt, None if got is None else got[1], None, lambda reach, floor: b))
+
+
+def _unpruned(g, s, b, search_on, what, limit, placed_only):
     """Every candidate of search_on(slots, tick)'s per-tree search at cap b,
     tree by tree under the source path, none skipped: the FPT solvers'
-    search without _keep_best."""
-    search = search_on(switch_slots(g), _counter(limit, what))
+    search without _best_tree. placed_only leaves out the trees with no
+    placement, which _best_tree never searches."""
+    slots = switch_slots(g)
+    search, lows_of = search_on(slots, _counter(limit, what)), _tree_lows(g, s, slots)
     trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
-    return [candidate for spt in trees for candidate in search(spt, [b])]
+    return [
+        candidate
+        for spt in trees
+        if (got := lows_of(spt)) is not None or not placed_only
+        for candidate in _searched(search, spt, got, b)
+    ]
 
 
 def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT):
-    """(ops, cost, sites) for every tree and delay split that places."""
-    return _unpruned(g, s, b, partial(_delay_search, g, s), "fpt-delay guesses", limit)
+    """(ops, cost, sites) for every tree and delay split that places; a tree
+    with no placement has none, and no split of it is tried."""
+    search_on = partial(_delay_search, g, s)
+    return _unpruned(g, s, b, search_on, "fpt-delay guesses", limit, placed_only=True)
 
 
 def _general_survivors(g, s, b, mode, limit=DEFAULT_STATE_LIMIT):
     """(ops, cost, sites) for every fpt-general guess that lays out."""
     search_on = partial(_general_search, g, s, b, mode)
-    return _unpruned(g, s, b, search_on, "fpt-general guesses", limit)
+    return _unpruned(g, s, b, search_on, "fpt-general guesses", limit, placed_only=False)
 
 
 @pytest.fixture
@@ -935,7 +950,7 @@ class TestDelaySplits:
                     for t in product(range(b + 1), repeat=parts)
                     if sum(t) <= b and all(a >= low for a, low in zip(t, lows))
                 ]
-                assert list(_splits(lows, [b])) == want, (b, lows)
+                assert list(_splits(lows, lambda: b)) == want, (b, lows)
 
     def test_guess_limit_trips(self, tight_chain):
         # the guesses tried at b=2: the root-only tree's one split; 1:0 at
@@ -1001,12 +1016,16 @@ class TestFptSolversSkipWhatCannotWin:
     def test_no_candidate_covers_more_than_its_trees_bound(self, case):
         g, s, b, mode = case
         slots = switch_slots(g)
+        lows_of = _tree_lows(g, s, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
-        searches = [_delay_search(g, s, slots, tick), _general_search(g, s, b, mode, slots, tick)]
+        delay = _delay_search(g, s, slots, tick)
+        general = _general_search(g, s, b, mode, slots, tick)
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
-            earliest = best_svs_for_spt(g, s, spt, slots)
-            for search in searches:
-                candidates = list(search(spt, [b]))
+            earliest, got = best_svs_for_spt(g, s, spt, slots), lows_of(spt)
+            assert (earliest is None) == (got is None), spt
+            # fpt-delay is never asked about a tree with no placement
+            for search in (delay, general) if got else (general,):
+                candidates = _searched(search, spt, got, b)
                 if earliest is None:
                     assert candidates == [], spt
                     continue
@@ -1097,7 +1116,7 @@ class TestCostFloors:
             if floor > 0:
                 assert min_cost_for_svs_brute(g, svs, mode, min(b, floor - 1)) is None, svs
         slots = switch_slots(g)
-        lows_of = _tree_lows(g, s, slots, _slot_shortfalls(g, slots))
+        lows_of = _tree_lows(g, s, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
         searches = (
             (_delay_search(g, s, slots, tick), Mode.DELAY),
@@ -1106,8 +1125,9 @@ class TestCostFloors:
         lows = {}
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
             got = lows_of(spt)
-            for search, search_mode in searches:
-                candidates = list(search(spt, [b]))
+            # fpt-delay is never asked about a tree with no placement
+            for search, search_mode in searches if got else searches[1:]:
+                candidates = _searched(search, spt, got, b)
                 if got is None:
                     assert candidates == [], spt
                 else:

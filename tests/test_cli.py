@@ -41,6 +41,20 @@ def i1_file(tmp_path):
     return f
 
 
+@pytest.fixture
+def boarded_file(tmp_path):
+    """test_budgeted's boarded_twice: every path holds a, the only vertex
+    paths 1 and 2 share."""
+    f = tmp_path / "boarded.kpg"
+    f.write_text(
+        "kpathgraph v1\nk 3\nsource s\n"
+        "path 0 : s -1-> a -5-> b\n"
+        "path 1 : x -0-> a -3-> c -4-> d\n"
+        "path 2 : y -2-> a -6-> e\n"
+    )
+    return f
+
+
 def solve_doc(tmp_path, capsys, i1_file, *args):
     rc = main(["solve", str(i1_file), *args])
     out = capsys.readouterr().out
@@ -201,21 +215,33 @@ class TestSolve:
         assert main([*args, "--limit-states", "1"]) == 4
         assert "more than 1 fpt-delay guesses" in capsys.readouterr().err
 
-    def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys):
-        # test_budgeted's boarded_twice: fpt-general makes 3 guesses at b=1
-        # in delay mode, skipping every tree that cannot beat the best found
-        # so far (18 without skipping)
-        f = tmp_path / "boarded.kpg"
-        f.write_text(
-            "kpathgraph v1\nk 3\nsource s\n"
-            "path 0 : s -1-> a -5-> b\n"
-            "path 1 : x -0-> a -3-> c -4-> d\n"
-            "path 2 : y -2-> a -6-> e\n"
-        )
-        args = ["solve", str(f), "--algo", "fpt-general", "--mode", "delay", "--budget", "1"]
+    def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys, boarded_file):
+        # fpt-general makes 3 guesses on boarded_twice at b=1 in delay mode,
+        # skipping every tree that cannot beat the best found so far (18
+        # without skipping)
+        args = ["solve", str(boarded_file), "--algo", "fpt-general", "--mode", "delay",
+                "--budget", "1"]
         assert main([*args, "--limit-states", "3"]) == 0
         assert main([*args, "--limit-states", "2"]) == 4
         assert "more than 2 fpt-general guesses" in capsys.readouterr().err
+
+    def test_xp_k_limit_counts_the_sets_of_the_trees_searched(
+        self, tmp_path, capsys, i1_file, boarded_file
+    ):
+        # xp-k counts only the sets of the trees it searches. On
+        # boarded_twice at b=1 in delay mode: the root-only tree's empty set,
+        # 1:0's set at a (5 vertices at no cost, its tree's bound), then
+        # 1:0, 2:0's set at a (all 6); tree 2:0, bounded by 4 vertices, is
+        # skipped with its set, and 2:1 and 1:2 have no placement
+        args = ["solve", str(boarded_file), "--algo", "xp-k", "--mode", "delay", "--budget", "1"]
+        assert main([*args, "--limit-states", "3"]) == 0
+        assert main([*args, "--limit-states", "2"]) == 4
+        assert "more than 2 switch-vertex-sets" in capsys.readouterr().err
+        # on i1 at b=0 tree 1:0's one switch is short by 1, its floor, so
+        # only the root-only tree's empty set is counted
+        args = ["solve", str(i1_file), "--algo", "xp-k", "--budget", "0"]
+        assert main([*args, "--limit-states", "1"]) == 0
+        assert main([*args, "--limit-states", "0"]) == 4
 
     def test_fixed_spt_limit_counts_only_that_trees_sets(self, tmp_path, capsys):
         # tree 1:0 has two switch sets (at a and at b); the empty set of the
@@ -526,6 +552,31 @@ class TestUsage:
         capsys.readouterr()
         assert main(argv) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_too_long_instance_name_is_a_usage_error(self, tmp_path, capsys):
+        # past the file system's name limit: OSError, errno ENAMETOOLONG
+        assert main(["solve", str(tmp_path / ("x" * 300)), "--algo", "xp-b"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_too_long_output_name_is_a_usage_error(self, tmp_path, capsys):
+        args = ["gen", "random", "--k", "2", "--n", "3", "--seed", "1"]
+        assert main([*args, "--output", str(tmp_path / ("x" * 300))]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_symlink_loop_is_a_usage_error(self, tmp_path, capsys, i1_file, command):
+        # a link to itself: OSError, errno ELOOP
+        loop = tmp_path / "loop.kpg"
+        loop.symlink_to(loop)
+        sol = tmp_path / "sol.json"
+        assert main(["solve", str(i1_file), "--algo", "xp-k", "--output", str(sol)]) == 0
+        argv = {
+            "solve": ["solve", str(loop), "--algo", "xp-k"],
+            "verify": ["verify", str(loop), str(sol)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_no_command(self, capsys):
         assert main([]) == 2
