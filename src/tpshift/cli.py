@@ -396,13 +396,17 @@ def cmd_gen_mcis(args: argparse.Namespace) -> int:
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
-    """Print each tree or switch set with --list, then how many there are."""
+    """Print each tree or switch set with --list, then how many there are.
+
+    Switch sets are those of the source-normalized instance, the graph that
+    solve searches and its witnesses name."""
     if args.what == "spt":
         if args.k < 1:
             raise ParameterError(f"need k >= 1, got {args.k}")
         items, text = enumerate_spts(args.k, include_partial=args.partial), _spt_text
     else:
-        items, text = enumerate_svss(_load_instance(args.instance)[0]), _svs_text
+        graph = _load_instance(args.instance)[0]
+        items, text = enumerate_svss(normalize_source(graph, graph.source)), _svs_text
     count = 0
     for count, item in enumerate(items, 1):
         if args.list:

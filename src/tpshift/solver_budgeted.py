@@ -10,10 +10,11 @@ solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
 
-All but xp-b keep their best in _best_tree, one switch-path tree at a time,
-searching only what can win, and count their work as they do it
-(_counter). xp-b counts its vectors up front, the exact size of its full
-scan.
+All but xp-b search only the slots a switch can take within the budget
+(_affordable_slots), keep their best in _best_tree, one switch-path tree at
+a time, best bound first, searching only what can win, and count their work
+as they do it (_counter). xp-b counts its vectors up front, the exact size
+of its full scan.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .switch_structures import (
     is_valid_svs,
     place_switches,
     root_first,
+    spt_rank,
     svs_at,
     switch_slots,
     tree_sites,
@@ -409,23 +411,48 @@ def _cost_floor(mode: Mode, shortfalls: Iterable[tuple[int, int, int]]) -> int:
     return sum(worst.values())  # a sum of ints: the dict's order cannot matter
 
 
+def _affordable_slots(
+    graph: TemporalKPathGraph, b: int, pairs: Iterable[tuple[int, int]] | None = None
+) -> SlotTable:
+    """switch_slots(graph, pairs) less every slot whose switch is short by
+    more than b (_shortfalls): making that switch temporal costs any plan at
+    least its shortfall (_cost_floor), so no candidate within b uses it.
+    Slots of one label gap share a shortfall, so _slots_by_gap's groups
+    stay whole or go whole."""
+    labels = [path.labels for path in graph.paths]
+    return {
+        (p, c): tuple(
+            (pos_p, pos_c) for pos_p, pos_c in at if labels[p][pos_p - 1] - labels[c][pos_c] < b
+        )
+        for (p, c), at in switch_slots(graph, pairs).items()
+    }
+
+
 def _best_tree(
     graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
     trees: Iterable[SwitchPathTree], search: Callable,
 ) -> _Candidate | None:
     """The first-seen candidate of largest (reach, -cost), reach being its
-    sites' suffix union size, over every tree's search: the one keep-best
-    loop of every solver here but xp-b. slots covers the trees' edges.
+    sites' suffix union size, over every tree's search with the trees in
+    canonical order (spt_rank), whatever their order in trees: the one
+    keep-best loop of every solver here but xp-b. slots covers the trees'
+    edges.
 
     search(spt, lows, bound, cap) yields a tree's candidates in a fixed
-    order, given the tree's edges as (parent, child, low) (_tree_lows) and
-    its bound. It asks cap(reach, floor) for the most a candidate of that
-    reach, costing at least floor, may cost and still win: b above the best
-    reach, one below the best cost at it, and -1 otherwise or when floor is
-    past that. The answer moves only when search yields, so a search may
-    keep it between yields. A tree is searched only if cap(bound, floor) is
-    not -1, bound being the suffix union size of its earliest placement and
-    floor _cost_floor of its lows.
+    order, each within b, given the tree's edges as (parent, child, low)
+    (_tree_lows) and its bound. It asks cap(reach, floor) for the most a
+    candidate of that reach, costing at least floor, may cost and still win:
+    b above the best reach; at the best reach, the best cost in a tree
+    ranked before the best's and one below it otherwise; -1 below the best
+    reach or when floor is past that. The answer moves only when search
+    yields, so a search may keep it between yields. A candidate wins iff its
+    cost is at most cap(its reach, 0).
+
+    Trees go best bound first, bound being the suffix union size of a
+    tree's earliest placement, ties in canonical order. The loop stops at
+    the first tree whose bound is below the best reach, and searches a tree
+    only if cap(bound, floor) is not -1, floor being _cost_floor of its
+    lows.
     - Bound: no candidate covers more. tree_sites and both FPT searches put
       each child's switch strictly after its parent's anchor, so root first
       every anchor is at or after the earliest one (earliest_sites).
@@ -433,30 +460,39 @@ def _best_tree(
       its edge's low (_tree_lows), and _cost_floor only grows with them.
     - Cap: every guess step costs >= 0, so a search may cut a partial guess
       once it spends past the cap.
-    - Same winner: only a strictly greater (reach, -cost) replaces the best,
-      and no candidate skipped or cut is; a tree's search ends once one
-      reaches its bound at no cost.
+    - Same winner: a candidate replaces the best iff it is greater in
+      (reach, -cost, earlier tree), and no candidate skipped or cut is; a
+      tree's search ends once one reaches its bound at no cost. The winner
+      is the max in (reach, -cost, earlier tree, earlier in its tree's
+      search), the first-seen max over the trees in canonical order.
     """
     union = _suffix_union_at(graph, s)
     lows_of = _tree_lows(graph, s, slots)
+    ranked = sorted(  # an edge with no slot leaves its tree no valid set
+        ((-len(union(got[0])), spt_rank(spt), spt, got[1])
+         for spt in trees if (got := lows_of(spt)) is not None),
+        key=itemgetter(0, 1),
+    )
     best: _Candidate | None = None
-    best_reach, best_cost = -1, 0
+    best_reach, best_cost, best_rank = -1, 0, None
 
-    def cap(reach: int, floor: int) -> int:
-        top = b if reach > best_reach else best_cost - 1 if reach == best_reach else -1
+    def cap(reach: int, floor: int) -> int:  # rank: the tree being searched
+        if reach == best_reach:
+            top = best_cost if rank < best_rank else best_cost - 1
+        else:
+            top = b if reach > best_reach else -1
         return top if floor <= top else -1
 
-    for spt in trees:
-        got = lows_of(spt)
-        if got is None:
-            continue  # an edge has no slot, so the tree has no valid set
-        bound = len(union(got[0]))
-        if cap(bound, _cost_floor(mode, got[1])) < 0:
+    for minus_bound, rank, spt, lows in ranked:
+        bound = -minus_bound
+        if bound < best_reach:
+            break  # so is every tree after it
+        if cap(bound, _cost_floor(mode, lows)) < 0:
             continue
-        for ops, cost, sites in search(spt, got[1], bound, cap):
+        for ops, cost, sites in search(spt, lows, bound, cap):
             reach = len(union(sites))
-            if (reach, -cost) > (best_reach, -best_cost):
-                best, best_reach, best_cost = (ops, cost, sites), reach, cost
+            if cost <= cap(reach, 0):
+                best, best_reach, best_cost, best_rank = (ops, cost, sites), reach, cost, rank
                 if reach == bound and cost == 0:
                     break
     return best
@@ -465,14 +501,17 @@ def _best_tree(
 def _tree_lows(
     graph: TemporalKPathGraph, s: Vertex, slots: SlotTable
 ) -> Callable[[SwitchPathTree], tuple[list[Site], list[tuple[int, int, int]]] | None]:
-    """lows_of(spt): spt's earliest placement (earliest_sites) and each of its
-    edges as (parent, child, low), or None if spt has no placement.
+    """lows_of(spt): spt's earliest placement (earliest_sites) on slots and
+    each of its edges as (parent, child, low), or None if spt has no
+    placement there.
 
     An edge's low is the least shortfall (_shortfalls) among its slots after
     its parent's anchor in the earliest placement. Every search puts each
     edge at such a slot (see _best_tree's bound), so no candidate of the
     tree has a switch short by less than its edge's low: _cost_floor of the
-    lows is at most any candidate's cost.
+    lows is at most any candidate's cost. On _affordable_slots at b every
+    low is at most b, and the placement and lows are those of the slots a
+    candidate within b can use: later and higher than on the full table.
     """
     src, start = graph.source_path_id, graph.source_path.find(s)
     labels = [path.labels for path in graph.paths]
@@ -550,10 +589,10 @@ def solve_xp_by_k(
     """Optimum via switch-set enumeration: the affordable valid switch set whose
     suffixes cover the most (ties: cheaper, then first seen), tree by tree
     (_best_tree, _set_search). limit_svss counts the sets of the trees
-    searched."""
+    searched, on affordable slots only (_affordable_slots)."""
     _check_budget(b)
     _require_source(graph, s)
-    slots = switch_slots(graph)
+    slots = _affordable_slots(graph, b)
     search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
     trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
     return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
@@ -574,8 +613,9 @@ def solve_fixed_spt(
     affordable switch set induces the tree, returns the bare source-path
     suffix with no ops and an empty witness, never None; a tree with edges
     then has fewer switches than edges. The tree is rooted at the source
-    path, graph.source_path_id. limit_svss counts only this tree's sets,
-    and none if the tree's floor is past b (_best_tree).
+    path, graph.source_path_id. limit_svss counts only this tree's sets on
+    affordable slots (_affordable_slots), and none if the tree has no
+    placement on them or its floor is past b (_best_tree).
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -589,7 +629,7 @@ def solve_fixed_spt(
     if not _all_reach_root(mapping, root):
         raise ParameterError(f"tree does not hang together under the source path (path {root})")
 
-    slots = switch_slots(graph, [(parent, child) for child, parent in spt.parents])
+    slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
     search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
     ops, cost, sites = _best_tree(graph, s, b, mode, slots, [spt], search) or ((), 0, ())
     reached = frozenset(_suffix_union_at(graph, s)(sites))
@@ -640,7 +680,7 @@ def solve_fpt_delay(
     """
     _check_budget(b)
     _require_source(graph, s)
-    slots = switch_slots(graph)
+    slots = _affordable_slots(graph, b)
     search = _delay_search(graph, s, slots, _counter(limit_states, "fpt-delay guesses"))
     trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
     return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, slots, trees, search))
@@ -773,7 +813,7 @@ def solve_fpt_general(
     """
     _check_budget(b)
     _require_source(graph, s)
-    slots = switch_slots(graph)
+    slots = _affordable_slots(graph, b)
     tick = _counter(limit_states, "fpt-general guesses")
     search = _general_search(graph, s, b, mode, slots, tick)
     trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)

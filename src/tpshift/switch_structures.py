@@ -220,6 +220,12 @@ def enumerate_spts(
                 yield SwitchPathTree(tuple(mapping.items()))
 
 
+def spt_rank(spt: SwitchPathTree) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """spt's place in enumerate_spts's order, whatever the root: by size,
+    then by children, then by their parents, each compared lexicographically."""
+    return len(spt.parents), tuple(c for c, _ in spt.parents), tuple(p for _, p in spt.parents)
+
+
 def _all_reach_root(mapping: dict[int, int], root: int) -> bool:
     for start in mapping:
         cur = start
@@ -311,11 +317,12 @@ def earliest_sites(
     """spt's earliest structural placement, or None if a tree edge has no slot.
 
     Root first from the source path anchored at start, each child takes the
-    first slot of slots (switch_slots(graph)), in child order, that sits
-    strictly after its parent's anchor. That first slot only moves later as
-    the anchor does, so any placement putting every child after its parent's
-    anchor boards each path at or after the position this one does: its
-    suffix union is a subset of this one's, and it fails wherever this fails.
+    first slot of slots (switch_slots(graph), or that table less some
+    slots), in child order, that sits strictly after its parent's anchor.
+    That first slot only moves later as the anchor does, so any placement on
+    slots of the table putting every child after its parent's anchor boards
+    each path at or after the position this one does: its suffix union is a
+    subset of this one's, and it fails wherever this fails.
     """
 
     def first_slot(parent: int, child: int, after: int) -> tuple[int, int] | None:
@@ -330,11 +337,12 @@ def tree_sites(
 ) -> Iterator[tuple[Site, ...]]:
     """Sites of every valid switch-vertex-set whose transitions are spt's edges.
 
-    spt must be a tree under the source path; slots is switch_slots(graph).
-    Each set's sites come sorted by child. Edges are filled in sorted order
-    from their slots, so sets come in the order of the candidates' Cartesian
-    product; a choice that breaks "off strictly after on" with a chosen
-    neighbour is cut at once.
+    spt must be a tree under the source path; slots is switch_slots(graph),
+    or that table less some slots, whose sets then go too. Each set's sites
+    come sorted by child. Edges are filled in sorted order from their slots,
+    so sets come in the order of the candidates' Cartesian product; a choice
+    that breaks "off strictly after on" with a chosen neighbour is cut at
+    once.
     """
     src, edges = graph.source_path_id, spt.parents
     start = graph.paths[src].find(graph.source)

@@ -42,6 +42,8 @@ from tpshift import solver_budgeted
 from tpshift.instances import gen_random
 from tpshift.solver_budgeted import (
     DEFAULT_STATE_LIMIT,
+    _affordable_slots,
+    _best_tree,
     _canonical_ops,
     _cost_floor,
     _counter,
@@ -50,6 +52,7 @@ from tpshift.solver_budgeted import (
     _net_vectors,
     _price_sites,
     _replayed_labels,
+    _set_search,
     _shortfalls,
     _slots_by_gap,
     _splits,
@@ -88,12 +91,13 @@ def _searched(search, spt, got, b):
     return list(search(spt, None if got is None else got[1], None, lambda reach, floor: b))
 
 
-def _unpruned(g, s, b, search_on, what, limit, placed_only):
+def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
     """Every candidate of search_on(slots, tick)'s per-tree search at cap b,
     tree by tree under the source path, none skipped: the FPT solvers'
     search without _best_tree. placed_only leaves out the trees with no
-    placement, which _best_tree never searches."""
-    slots = switch_slots(g)
+    placement, which _best_tree never searches. slots defaults to every
+    slot, switch_slots(g)."""
+    slots = switch_slots(g) if slots is None else slots
     search, lows_of = search_on(slots, _counter(limit, what)), _tree_lows(g, s, slots)
     trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
     return [
@@ -104,17 +108,18 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only):
     ]
 
 
-def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT):
+def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT, slots=None):
     """(ops, cost, sites) for every tree and delay split that places; a tree
     with no placement has none, and no split of it is tried."""
     search_on = partial(_delay_search, g, s)
-    return _unpruned(g, s, b, search_on, "fpt-delay guesses", limit, placed_only=True)
+    return _unpruned(g, s, b, search_on, "fpt-delay guesses", limit, placed_only=True, slots=slots)
 
 
-def _general_survivors(g, s, b, mode, limit=DEFAULT_STATE_LIMIT):
+def _general_survivors(g, s, b, mode, limit=DEFAULT_STATE_LIMIT, slots=None):
     """(ops, cost, sites) for every fpt-general guess that lays out."""
     search_on = partial(_general_search, g, s, b, mode)
-    return _unpruned(g, s, b, search_on, "fpt-general guesses", limit, placed_only=False)
+    what = "fpt-general guesses"
+    return _unpruned(g, s, b, search_on, what, limit, placed_only=False, slots=slots)
 
 
 @pytest.fixture
@@ -513,8 +518,11 @@ class TestXpByK:
         assert sol.ops == () and sol.cost == 0
 
     def test_svs_limit_trips(self, tight_chain):
-        with pytest.raises(ResourceLimitError):
-            solve_xp_by_k(tight_chain, "s", 1, Mode.DELAY, limit_svss=2)
+        # tree 1:0, 2:1 has the best bound, all 7 vertices, and its one set
+        # reaches it at cost 1, so no other tree is searched
+        assert solve_xp_by_k(tight_chain, "s", 1, Mode.DELAY, limit_svss=1).cost == 1
+        with pytest.raises(ResourceLimitError, match="more than 0 switch-vertex-sets"):
+            solve_xp_by_k(tight_chain, "s", 1, Mode.DELAY, limit_svss=0)
 
     def test_witness_replay_is_sound(self):
         for seed in range(6):
@@ -835,9 +843,10 @@ class TestGeneralGuessLimit:
     # at the anchor-only gap, or a delay beyond the budget left, would raise
     # them
     SURVIVOR_COUNTS = {Mode.DELAY: 30, Mode.ADVANCE: 55, Mode.SHIFT: 105}
-    # the guesses solve_fpt_general makes there: it skips every tree that
-    # cannot beat the best found so far
-    COUNTS = {Mode.DELAY: 3, Mode.ADVANCE: 12, Mode.SHIFT: 12}
+    # the guesses solve_fpt_general makes there: it searches tree 1:0, 2:0
+    # first, the best bound, finds a guess reaching it at no cost, and
+    # searches no other tree
+    COUNTS = {Mode.DELAY: 2, Mode.ADVANCE: 9, Mode.SHIFT: 9}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_limit_counts_guesses(self, boarded_twice, mode):
@@ -953,14 +962,14 @@ class TestDelaySplits:
                 assert list(_splits(lows, lambda: b)) == want, (b, lows)
 
     def test_guess_limit_trips(self, tight_chain):
-        # the guesses tried at b=2: the root-only tree's one split; 1:0 at
-        # delay 0, which reaches its bound; 1:0, 2:1 at (0, 1), which reaches
-        # all 7 vertices at cost 1, so nothing else is tried. Path 2 needs a
-        # delay of 1 at c, 2:1's low, so (0, 0) is not tried (25 splits with
-        # nothing skipped)
-        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=3).cost == 1
-        with pytest.raises(ResourceLimitError, match="more than 2 fpt-delay guesses"):
-            solve_fpt_delay(tight_chain, "s", 2, limit_states=2)
+        # the guesses tried at b=2: tree 1:0, 2:1 first, the best bound, at
+        # (0, 1), which reaches all 7 vertices at cost 1, so nothing else is
+        # tried: the tree's other splits cost more, and every other tree is
+        # bounded lower. Path 2 needs a delay of 1 at c, 2:1's low, so (0, 0)
+        # is not tried (25 splits with nothing skipped)
+        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=1).cost == 1
+        with pytest.raises(ResourceLimitError, match="more than 0 fpt-delay guesses"):
+            solve_fpt_delay(tight_chain, "s", 2, limit_states=0)
 
 
 @st.composite
@@ -1141,3 +1150,113 @@ class TestCostFloors:
             delays = {op.path_id: op.delta for op in ops}
             for child, low in lows[implied_spt(svs)].items():
                 assert delays.get(child, 0) >= low, svs
+
+
+@pytest.fixture
+def short_then_affordable():
+    """Path 1 leaves path 0 at a, short by 2, or at c, temporal as it is."""
+    return graph_of(path(0, "s a c z", (5, 6, 7)), path(1, "x a y c w", (0, 4, 5, 9)))
+
+
+class TestAffordableSlots:
+    """Every solver but xp-b searches only the slots whose switch is short by
+    at most b; the others cannot be made temporal within b."""
+
+    TREE = SwitchPathTree(((1, 0),))
+
+    def test_only_slots_short_by_at_most_b_stay(self, short_then_affordable):
+        g = short_then_affordable
+        assert switch_slots(g)[(0, 1)] == ((1, 1), (2, 3))
+        assert _affordable_slots(g, 1)[(0, 1)] == ((2, 3),)
+        assert _affordable_slots(g, 2) == switch_slots(g)
+        assert _affordable_slots(g, 1, [(0, 1)]) == {(0, 1): ((2, 3),)}
+
+    @pytest.mark.parametrize("b, board, bound", [(1, "c", 5), (2, "a", 6)])
+    def test_the_trees_bound_is_its_affordable_suffix(
+        self, short_then_affordable, b, board, bound
+    ):
+        # at b=1 the switch at a, short by 2, is dropped, so the tree's
+        # earliest placement boards path 1 at c; at b=2 it boards at a
+        g = short_then_affordable
+        sites, _ = _tree_lows(g, "s", _affordable_slots(g, b))(self.TREE)
+        assert [g.paths[c].vertices[pos_c] for _, _, c, pos_c in sites] == [board]
+        assert len(suffix_union(g, svs_at(g, sites), "s")) == bound
+        for mode in MODES:
+            want = solve_xp_by_b(g, "s", b, mode)
+            assert (len(want.reached), want.cost) == (bound, 0 if b == 1 else 2)
+            answers = [
+                solve_xp_by_k(g, "s", b, mode),
+                solve_fpt_general(g, "s", b, mode),
+                solve_fixed_spt(g, "s", b, mode, self.TREE),
+            ]
+            if mode is Mode.DELAY:
+                answers.append(solve_fpt_delay(g, "s", b))
+            for sol in answers:
+                assert (len(sol.reached), sol.cost) == (bound, want.cost), mode
+                assert sol.witness_svs == make_svs([Switch(board, 0, 1)]), mode
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_case(max_b=3))
+    def test_the_unpruned_streams_are_unchanged(self, case):
+        # no candidate within b uses a dropped slot: the same candidates, in
+        # the same order, over the affordable table as over every slot
+        g, s, b, mode = case
+        affordable = _affordable_slots(g, b)
+        assert _general_survivors(g, s, b, mode, slots=affordable) == _general_survivors(
+            g, s, b, mode
+        )
+        assert _delay_guesses(g, s, b, slots=affordable) == _delay_guesses(g, s, b)
+
+
+@pytest.fixture
+def tie_across_trees():
+    """At b=2, {v1:0->1} of tree 1:0 and {v0:0->1, v4:1->2} of tree 1:0, 2:1
+    both reach 6 vertices at cost 2; the bounds are 6 and 7."""
+    return graph_of(
+        path(0, "s v0 v1 v2", (2, 4, 10)),
+        path(1, "v1 v3 v0 v4", (3, 4, 7)),
+        path(2, "v0 v1 v4 v5", (0, 2, 6)),
+    )
+
+
+class TestBestBoundFirst:
+    """_best_tree searches trees best bound first and, at equal reach and
+    cost, lets the tree of lower canonical rank win, so its answer does not
+    depend on the order of the trees it is given."""
+
+    def test_a_tie_goes_to_the_tree_ranked_first(self, tie_across_trees):
+        # tree 1:0, 2:1 is searched first, for its higher bound, and its set
+        # ties with tree 1:0's, found later; tree 1:0 comes first in
+        # canonical order, so its set wins, as in the full scans
+        g = tie_across_trees
+        want = make_svs([Switch("v1", 0, 1)])
+        for mode in MODES:
+            answers = [
+                (solve_xp_by_k(g, "s", 2, mode), xp_k_pricing_every_set(g, "s", 2, mode)),
+                (solve_fpt_general(g, "s", 2, mode), fpt_general_by_scan(g, "s", 2, mode)),
+            ]
+            if mode is Mode.DELAY:
+                answers.append((solve_fpt_delay(g, "s", 2), fpt_delay_by_product(g, "s", 2)))
+            for sol, ref in answers:
+                assert sol == ref, mode
+                assert (sol.witness_svs, sol.cost) == (want, 2), mode
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_case(max_b=3), st.randoms(use_true_random=False))
+    def test_the_winner_does_not_depend_on_the_tree_order(self, case, rnd):
+        g, s, b, mode = case
+        slots = _affordable_slots(g, b)
+        tick = _counter(DEFAULT_STATE_LIMIT, "steps")
+        searches = {
+            "xp-k": (mode, lambda: _set_search(g, s, mode, slots, tick)),
+            "fpt-general": (mode, lambda: _general_search(g, s, b, mode, slots, tick)),
+            "fpt-delay": (Mode.DELAY, lambda: _delay_search(g, s, slots, tick)),
+        }
+        trees = list(enumerate_spts(g.k, include_partial=True, root=g.source_path_id))
+        shuffled = trees[:]
+        rnd.shuffle(shuffled)
+        for algo, (search_mode, search_of) in searches.items():
+            want = _best_tree(g, s, b, search_mode, slots, trees, search_of())
+            for order in (trees[::-1], shuffled):
+                got = _best_tree(g, s, b, search_mode, slots, order, search_of())
+                assert got == want, algo

@@ -188,11 +188,12 @@ class TestSolve:
              "--limit-states", "5"]
         )
         assert rc == 4
-        rc = main(
-            ["solve", str(i1_file), "--algo", "xp-k", "--budget", "1",
-             "--limit-states", "1"]
-        )
-        assert rc == 4
+        # xp-k searches tree 1:0 first, the best bound, and its one set
+        # reaches that bound; the root-only tree's bound is lower, so it is
+        # not searched
+        args = ["solve", str(i1_file), "--algo", "xp-k", "--budget", "1"]
+        assert main([*args, "--limit-states", "1"]) == 0
+        assert main([*args, "--limit-states", "0"]) == 4
 
     @pytest.mark.parametrize("mode, count", [("shift", 41), ("delay", 15)])
     def test_xp_b_limit_counts_net_vectors(self, tmp_path, capsys, i1_file, mode, count):
@@ -206,39 +207,41 @@ class TestSolve:
 
     def test_fpt_delay_limit_counts_guesses(self, tmp_path, capsys, i1_file):
         # trees under path 0: the root-only tree and 1:0; at b=2 fpt-delay
-        # tries the root-only tree's one split, then delay 1 on 1:0: its
-        # switch is short by 1, so delay 0 is not tried. Delay 1 reaches the
-        # tree's bound, so delay 2 is cut: 2 of the C(0 + 2, 2) + C(1 + 2, 2)
-        # = 4 (tree, delay split) guesses.
+        # tries 1:0 first, the best bound, at delay 1: its switch is short by
+        # 1, so delay 0 is not tried. Delay 1 reaches the tree's bound, so
+        # delay 2 is cut, and the root-only tree, bounded lower, is not
+        # searched: 1 of the C(0 + 2, 2) + C(1 + 2, 2) = 4 (tree, delay
+        # split) guesses.
         args = ["solve", str(i1_file), "--algo", "fpt-delay", "--mode", "delay", "--budget", "2"]
-        assert main([*args, "--limit-states", "2"]) == 0
-        assert main([*args, "--limit-states", "1"]) == 4
-        assert "more than 1 fpt-delay guesses" in capsys.readouterr().err
+        assert main([*args, "--limit-states", "1"]) == 0
+        assert main([*args, "--limit-states", "0"]) == 4
+        assert "more than 0 fpt-delay guesses" in capsys.readouterr().err
 
     def test_fpt_general_limit_counts_guesses(self, tmp_path, capsys, boarded_file):
-        # fpt-general makes 3 guesses on boarded_twice at b=1 in delay mode,
-        # skipping every tree that cannot beat the best found so far (18
-        # without skipping)
+        # fpt-general makes 2 guesses on boarded_twice at b=1 in delay mode:
+        # tree 1:0, 2:0 has the best bound, all 6 vertices, and its first
+        # guess of both children (no delay on either) reaches it at no cost,
+        # so no other tree is searched (18 guesses without skipping)
         args = ["solve", str(boarded_file), "--algo", "fpt-general", "--mode", "delay",
                 "--budget", "1"]
-        assert main([*args, "--limit-states", "3"]) == 0
-        assert main([*args, "--limit-states", "2"]) == 4
-        assert "more than 2 fpt-general guesses" in capsys.readouterr().err
+        assert main([*args, "--limit-states", "2"]) == 0
+        assert main([*args, "--limit-states", "1"]) == 4
+        assert "more than 1 fpt-general guesses" in capsys.readouterr().err
 
     def test_xp_k_limit_counts_the_sets_of_the_trees_searched(
         self, tmp_path, capsys, i1_file, boarded_file
     ):
         # xp-k counts only the sets of the trees it searches. On
-        # boarded_twice at b=1 in delay mode: the root-only tree's empty set,
-        # 1:0's set at a (5 vertices at no cost, its tree's bound), then
-        # 1:0, 2:0's set at a (all 6); tree 2:0, bounded by 4 vertices, is
-        # skipped with its set, and 2:1 and 1:2 have no placement
+        # boarded_twice at b=1 in delay mode it searches tree 1:0, 2:0 first,
+        # the best bound, and its set at a reaches all 6 vertices at no cost;
+        # every other tree is bounded lower, and 2:1 and 1:2 have no placement
         args = ["solve", str(boarded_file), "--algo", "xp-k", "--mode", "delay", "--budget", "1"]
-        assert main([*args, "--limit-states", "3"]) == 0
-        assert main([*args, "--limit-states", "2"]) == 4
-        assert "more than 2 switch-vertex-sets" in capsys.readouterr().err
-        # on i1 at b=0 tree 1:0's one switch is short by 1, its floor, so
-        # only the root-only tree's empty set is counted
+        assert main([*args, "--limit-states", "1"]) == 0
+        assert main([*args, "--limit-states", "0"]) == 4
+        assert "more than 0 switch-vertex-sets" in capsys.readouterr().err
+        # on i1 at b=0 tree 1:0's one slot is short by 1, more than b, so the
+        # tree has no placement and only the root-only tree's empty set is
+        # counted
         args = ["solve", str(i1_file), "--algo", "xp-k", "--budget", "0"]
         assert main([*args, "--limit-states", "1"]) == 0
         assert main([*args, "--limit-states", "0"]) == 4
@@ -530,6 +533,24 @@ class TestEnum:
         assert main(["enum", "svs", str(i1_file), "--list"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["empty", "a:0->1", "2"]
+
+    def test_svs_lists_the_sets_solve_searches(self, tmp_path, capsys):
+        # a mid-path source: solve works on the graph with a's own source
+        # path appended, and its witness must be among the listed sets
+        f = tmp_path / "mid.kpg"
+        f.write_text(
+            "kpathgraph v1\nk 2\nsource a\n"
+            "path 0 : s -1-> a -2-> b -4-> c\n"
+            "path 1 : x -0-> b -5-> y\n"
+        )
+        doc = solve_doc(tmp_path, capsys, f, "--algo", "xp-k", "--budget", "2")
+        witness = " ".join(
+            f"{w['vertex']}:{w['from_path']}->{w['to_path']}" for w in doc["witness_svs"]
+        )
+        assert witness == "a':2->0 b:0->1"
+        assert main(["enum", "svs", str(f), "--list"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == ["empty", "a':2->0", witness, "3"]
 
     def test_svs_needs_a_valid_instance(self, tmp_path, capsys):
         f = tmp_path / "bad.kpg"

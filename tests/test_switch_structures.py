@@ -30,6 +30,7 @@ from tpshift.switch_structures import (
     is_temporal_switch,
     is_valid_svs,
     make_svs,
+    spt_rank,
     suffix_union,
     svs_reachability,
     switch_slots,
@@ -272,6 +273,16 @@ class TestEnumerateSpts:
         assert list(enumerate_spts(4, include_partial=True)) == list(
             enumerate_spts(4, include_partial=True)
         )
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("partial", (False, True))
+    def test_rank_orders_as_the_enumeration(self, k, partial):
+        # spt_rank gives the enumeration's order for every root, so the
+        # budgeted solvers' tie rule does not depend on how trees are listed
+        for root in range(k):
+            trees = list(enumerate_spts(k, include_partial=partial, root=root))
+            assert sorted(trees, key=spt_rank) == trees
+            assert len({spt_rank(spt) for spt in trees}) == len(trees)
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
