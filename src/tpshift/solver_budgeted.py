@@ -11,9 +11,10 @@ solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
 
 All but xp-b search only the slots a switch can take within the budget
-(_affordable_slots), keep their best in _best_tree, one switch-path tree at
-a time, best bound first, searching only what can win, and count their work
-as they do it (_counter). xp-b counts its vectors up front, the exact size
+(_affordable_slots) and only the switch-path trees that place on them
+(placed_trees), keep their best in _best_tree, one tree at a time, best
+bound first, searching only what can win, and count their work as they do
+it (_counter). xp-b counts its vectors up front, the exact size
 of its full scan.
 """
 
@@ -55,9 +56,8 @@ from .switch_structures import (
     _sites_of,
     _suffix_union_at,
     earliest_sites,
-    enumerate_spts,
     is_valid_svs,
-    place_switches,
+    placed_trees,
     root_first,
     spt_rank,
     svs_at,
@@ -430,23 +430,24 @@ def _affordable_slots(
 
 def _best_tree(
     graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
-    trees: Iterable[SwitchPathTree], search: Callable,
+    trees: Iterable[tuple[SwitchPathTree, list[Site]]], search: Callable,
 ) -> _Candidate | None:
     """The first-seen candidate of largest (reach, -cost), reach being its
     sites' suffix union size, over every tree's search with the trees in
     canonical order (spt_rank), whatever their order in trees: the one
-    keep-best loop of every solver here but xp-b. slots covers the trees'
-    edges.
+    keep-best loop of every solver here but xp-b. trees holds (spt, sites)
+    pairs, sites being spt's earliest placement on slots (placed_trees,
+    earliest_sites), and slots covers the trees' edges.
 
     search(spt, lows, bound, cap) yields a tree's candidates in a fixed
     order, each within b, given the tree's edges as (parent, child, low)
-    (_tree_lows) and its bound. It asks cap(reach, floor) for the most a
-    candidate of that reach, costing at least floor, may cost and still win:
-    b above the best reach; at the best reach, the best cost in a tree
-    ranked before the best's and one below it otherwise; -1 below the best
-    reach or when floor is past that. The answer moves only when search
-    yields, so a search may keep it between yields. A candidate wins iff its
-    cost is at most cap(its reach, 0).
+    (_tree_lows), parents before children, and its bound. It asks
+    cap(reach, floor) for the most a candidate of that reach, costing at
+    least floor, may cost and still win: b above the best reach; at the best
+    reach, the best cost in a tree ranked before the best's and one below it
+    otherwise; -1 below the best reach or when floor is past that. The
+    answer moves only when search yields, so a search may keep it between
+    yields. A candidate wins iff its cost is at most cap(its reach, 0).
 
     Trees go best bound first, bound being the suffix union size of a
     tree's earliest placement, ties in canonical order. The loop stops at
@@ -468,9 +469,8 @@ def _best_tree(
     """
     union = _suffix_union_at(graph, s)
     lows_of = _tree_lows(graph, s, slots)
-    ranked = sorted(  # an edge with no slot leaves its tree no valid set
-        ((-len(union(got[0])), spt_rank(spt), spt, got[1])
-         for spt in trees if (got := lows_of(spt)) is not None),
+    ranked = sorted(
+        ((-len(union(sites)), spt_rank(spt), spt, lows_of(sites)) for spt, sites in trees),
         key=itemgetter(0, 1),
     )
     best: _Candidate | None = None
@@ -500,10 +500,9 @@ def _best_tree(
 
 def _tree_lows(
     graph: TemporalKPathGraph, s: Vertex, slots: SlotTable
-) -> Callable[[SwitchPathTree], tuple[list[Site], list[tuple[int, int, int]]] | None]:
-    """lows_of(spt): spt's earliest placement (earliest_sites) on slots and
-    each of its edges as (parent, child, low), or None if spt has no
-    placement there.
+) -> Callable[[Sequence[Site]], list[tuple[int, int, int]]]:
+    """lows_of(sites): each edge of a tree as (parent, child, low), in the
+    order of sites, the tree's earliest placement on slots (placed_trees).
 
     An edge's low is the least shortfall (_shortfalls) among its slots after
     its parent's anchor in the earliest placement. Every search puts each
@@ -524,12 +523,9 @@ def _tree_lows(
             memo[key] = min(sigma for *_, sigma in _shortfalls(labels, later))
         return memo[key]
 
-    def lows_of(spt: SwitchPathTree) -> tuple[list[Site], list[tuple[int, int, int]]] | None:
-        sites = earliest_sites(graph, spt, start, slots)
-        if sites is None:
-            return None
+    def lows_of(sites: Sequence[Site]) -> list[tuple[int, int, int]]:
         anchor = {src: start, **{c: pos_c for _, _, c, pos_c in sites}}
-        return sites, [(p, c, low(p, c, anchor[p])) for p, _, c, _ in sites]
+        return [(p, c, low(p, c, anchor[p])) for p, _, c, _ in sites]
 
     return lows_of
 
@@ -594,7 +590,7 @@ def solve_xp_by_k(
     _require_source(graph, s)
     slots = _affordable_slots(graph, b)
     search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    trees = placed_trees(graph, 0, slots)
     return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
 
 
@@ -631,7 +627,9 @@ def solve_fixed_spt(
 
     slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
     search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
-    ops, cost, sites = _best_tree(graph, s, b, mode, slots, [spt], search) or ((), 0, ())
+    placed = earliest_sites(graph, spt, 0, slots)
+    trees = [] if placed is None else [(spt, placed)]
+    ops, cost, sites = _best_tree(graph, s, b, mode, slots, trees, search) or ((), 0, ())
     reached = frozenset(_suffix_union_at(graph, s)(sites))
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
@@ -682,7 +680,7 @@ def solve_fpt_delay(
     _require_source(graph, s)
     slots = _affordable_slots(graph, b)
     search = _delay_search(graph, s, slots, _counter(limit_states, "fpt-delay guesses"))
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    trees = placed_trees(graph, 0, slots)
     return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, slots, trees, search))
 
 
@@ -732,17 +730,21 @@ def _delay_search(
     ) -> Iterator[_Candidate]:
         low = {c: max(0, sigma) for _, c, sigma in lows}
         children = [child for child, _ in spt.parents]
-        order = list(root_first(src, spt.children_of))
         for split in _splits([low[c] for c in children], lambda: cap(bound, 0)):
             tick()
             delay.update(zip(children, split))
-            sites = place_switches(graph, order, pos_s, first_fit)
-            if sites is None:
-                continue
-            ops = _canonical_ops({(c, pos_c): delay[c] for _, _, c, pos_c in sites if delay[c]})
-            # the fit test is the temporality condition
-            assert _all_temporal(_shifted_labels(graph, ops), sites)
-            yield ops, sum(split), tuple(sites)
+            anchor, sites = {src: pos_s}, []
+            for parent, child, _ in lows:  # parents before children
+                slot = first_fit(parent, child, anchor[parent])
+                if slot is None:
+                    break
+                anchor[child] = slot[1]
+                sites.append((parent, slot[0], child, slot[1]))
+            else:
+                ops = _canonical_ops({(c, pos): delay[c] for _, _, c, pos in sites if delay[c]})
+                # the fit test is the temporality condition
+                assert _all_temporal(_shifted_labels(graph, ops), sites)
+                yield ops, sum(split), tuple(sites)
 
     return search
 
@@ -793,13 +795,14 @@ def solve_fpt_general(
 ) -> BudgetedSolution:
     """Optimum for any mode by guessing per-path displacement tuples.
 
-    Enumerates switch-path trees, sibling orders, and per-path guesses of
-    how much delay and advance ends up on the relevant edges. One depth-first
-    search guesses child by child, families root first, and lays each
-    family out greedily as soon as its last child is guessed, siblings whose
-    guesses interlock exactly being placed as one rigid batch. Trees and
-    guesses that cannot beat the best so far are skipped (_best_tree).
-    limit_states caps the guesses made, counted as they are made.
+    Takes the switch-path trees that place (placed_trees), then enumerates
+    sibling orders and per-path guesses of how much delay and advance ends
+    up on the relevant edges. One depth-first search guesses child by
+    child, families root first, and lays each family out greedily as soon
+    as its last child is guessed, siblings whose guesses interlock exactly
+    being placed as one rigid batch. Trees and guesses that cannot beat the
+    best so far are skipped (_best_tree). limit_states caps the guesses
+    made, counted as they are made.
 
     The survivors are those of guessing everything and then laying out each
     complete guess, in the same order. A family whose layout fails cuts
@@ -816,7 +819,7 @@ def solve_fpt_general(
     slots = _affordable_slots(graph, b)
     tick = _counter(limit_states, "fpt-general guesses")
     search = _general_search(graph, s, b, mode, slots, tick)
-    trees = enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id)
+    trees = placed_trees(graph, 0, slots)
     return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
 
 

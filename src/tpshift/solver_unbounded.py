@@ -2,7 +2,8 @@
 
 With labels free, only the footprints matter. The best reach equals the
 best structural suffix-union over all switch-vertex-sets, and that is found
-by scanning switch-path-trees and greedily realizing each one.
+by growing every switch-path-tree that can be realized, each with its
+earliest placement (placed_trees).
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from typing import Sequence
 
 from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
 from .switch_structures import (
-    SlotTable,
     SwitchPathTree,
     SwitchVertexSet,
+    _suffix_union_at,
     earliest_sites,
-    enumerate_spts,
-    root_first,
-    suffix_union,
+    placed_trees,
+    spt_rank,
     svs_at,
     svs_reachability,
     switch_slots,
@@ -36,10 +36,7 @@ class Temporalization:
 
 
 def best_svs_for_spt(
-    graph: TemporalKPathGraph,
-    s: Vertex,
-    spt: SwitchPathTree,
-    slots: SlotTable | None = None,
+    graph: TemporalKPathGraph, s: Vertex, spt: SwitchPathTree
 ) -> SwitchVertexSet | None:
     """Best label-agnostic realization of a switch-path-tree, or None.
 
@@ -47,21 +44,14 @@ def best_svs_for_spt(
     source path: for each tree edge the switch goes on the earliest vertex
     of the child path that also sits strictly after the parent's own switch
     vertex, which maximizes the unlocked suffix and leaves descendants the
-    widest choice. Absence means some tree edge admits no switch at all.
-    slots is switch_slots(graph), built here when not given.
+    widest choice. Absence means some tree edge admits no switch at all, or
+    spt does not hang under the source path.
     """
     start = graph.source_path.find(s)
     if start is None:
         return None
-    sites = earliest_sites(graph, spt, start, switch_slots(graph) if slots is None else slots)
+    sites = earliest_sites(graph, spt, start, switch_slots(graph))
     return None if sites is None else svs_at(graph, sites)
-
-
-def _spanning_then_partial(k: int, root: int) -> list[SwitchPathTree]:
-    """Every tree under root, the spanning ones (k - 1 edges) first, each in
-    enumerate_spts's order."""
-    trees = enumerate_spts(k, include_partial=True, root=root)
-    return sorted(trees, key=lambda spt: len(spt.parents) < k - 1)  # a stable sort
 
 
 def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
@@ -80,20 +70,22 @@ def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
         )
     src = heads[0]
     graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
-    slots = switch_slots(graph)
-    realized = (
-        (spt, svs)
-        for spt in _spanning_then_partial(len(paths), src)
-        if (svs := best_svs_for_spt(graph, s, spt, slots)) is not None
+    union = _suffix_union_at(graph, s)
+    # the largest reach, then a spanning tree (k - 1 edges), then canonical
+    # order; the root-only tree always places
+    spt, sites = min(
+        placed_trees(graph, 0, switch_slots(graph)),
+        key=lambda tree: (
+            -len(union(tree[1])), len(tree[0].parents) < graph.k - 1, spt_rank(tree[0])
+        ),
     )
-    # max keeps the first of equal reach; the root-only tree always realizes
-    spt, svs = max(realized, key=lambda tree_svs: len(suffix_union(graph, tree_svs[1], s)))
+    svs = svs_at(graph, sites)
 
     total = graph.total_edges()
     block = total + 1
     depth = {src: 0}
-    for p, kids in root_first(src, spt.children_of):
-        depth.update((c, depth[p] + 1) for c in kids)
+    for parent, _, child, _ in sites:  # parents before children
+        depth[child] = depth[parent] + 1
     labels = []
     for p in graph.paths:
         m = p.edge_count()

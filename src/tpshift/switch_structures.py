@@ -284,52 +284,65 @@ def svs_at(graph: TemporalKPathGraph, sites: Iterable[Site]) -> SwitchVertexSet:
     return make_svs(Switch(graph.paths[c].vertices[pc], p, c) for p, _, c, pc in sites)
 
 
-def place_switches(
-    graph: TemporalKPathGraph,
-    order: Iterable[tuple[int, Sequence[int]]],
-    start: int,
-    first_slot: Callable[[int, int, int], tuple[int, int] | None],
-) -> list[Site] | None:
-    """The switch on every tree edge that first_slot picks, placed root first.
+def placed_trees(
+    graph: TemporalKPathGraph, start: int, slots: SlotTable
+) -> Iterator[tuple[SwitchPathTree, list[Site]]]:
+    """(spt, sites) once for each tree under the source path that has an
+    earliest placement on slots, the sites with parents before children.
 
-    order is the tree as root_first yields it; start is the anchor on the
-    source path. first_slot(parent, child, parent anchor) gives the child's
-    slot (pos on parent, pos on child), or None if the edge has no workable
-    one; the slot's child position becomes the child's anchor. Returns the
-    sites in placement order, or None if an edge has no workable slot.
+    The earliest placement anchors the source path at start and gives each
+    child the first slot of slots[(parent, child)], in child order, that
+    sits strictly after its parent's anchor; the slot's child position is
+    the child's anchor. That slot depends only on the parent's anchor, so
+    trees grow from the root one edge at a time, offering only edges that
+    place. Each tree branches on each frontier edge in turn, taking it and
+    dropping the edges tried before it for the rest of the branch, and is
+    yielded after its branches (Gabow and Myers's edge branching, SIAM J.
+    Comput. 1978): every tree whose edges all place comes out exactly once,
+    and the recursion goes one level per taken edge. Edges come from the
+    table's keys, so a table over some pairs grows only trees of those.
     """
-    anchor = {graph.source_path_id: start}
-    sites: list[Site] = []
-    for parent, kids in order:
-        after = anchor[parent]
-        for child in kids:
-            slot = first_slot(parent, child, after)
-            if slot is None:
-                return None
-            anchor[child] = slot[1]
-            sites.append((parent, slot[0], child, slot[1]))
-    return sites
+    src = graph.source_path_id
+
+    def offered(tree: tuple[Site, ...], parent: int, after: int) -> list[Site]:
+        inside = {src, *(c for _, _, c, _ in tree)}
+        return [
+            (parent, slot[0], child, slot[1])
+            for (p, child), at in slots.items()
+            if p == parent and child not in inside
+            and (slot := next((pair for pair in at if pair[0] > after), None))
+        ]
+
+    def grow(
+        tree: tuple[Site, ...], frontier: list[Site]
+    ) -> Iterator[tuple[SwitchPathTree, list[Site]]]:
+        for i, site in enumerate(frontier):
+            taken = (*tree, site)
+            later = [edge for edge in frontier[i + 1 :] if edge[2] != site[2]]
+            yield from grow(taken, later + offered(taken, site[2], site[3]))
+        yield SwitchPathTree(tuple((c, p) for p, _, c, _ in tree)), list(tree)
+
+    yield from grow((), offered((), src, start))
 
 
 def earliest_sites(
     graph: TemporalKPathGraph, spt: SwitchPathTree, start: int, slots: SlotTable
 ) -> list[Site] | None:
-    """spt's earliest structural placement, or None if a tree edge has no slot.
+    """spt's earliest placement on slots (placed_trees), or None if spt has
+    none: an edge has no slot after its parent's anchor, or no entry in
+    slots, or spt does not hang under the source path.
 
-    Root first from the source path anchored at start, each child takes the
-    first slot of slots (switch_slots(graph), or that table less some
-    slots), in child order, that sits strictly after its parent's anchor.
-    That first slot only moves later as the anchor does, so any placement on
-    slots of the table putting every child after its parent's anchor boards
-    each path at or after the position this one does: its suffix union is a
-    subset of this one's, and it fails wherever this fails.
+    slots is switch_slots(graph), or that table less some slots. The first
+    tree placed_trees grows on spt's own pairs takes every edge that places.
+    A child's first slot only moves later as its parent's anchor does, so
+    any placement on slots of the table putting every child after its
+    parent's anchor boards each path at or after the position this one
+    does: its suffix union is a subset of this one's, and it fails wherever
+    this fails.
     """
-
-    def first_slot(parent: int, child: int, after: int) -> tuple[int, int] | None:
-        return next((slot for slot in slots[(parent, child)] if slot[0] > after), None)
-
-    order = root_first(graph.source_path_id, spt.children_of)
-    return place_switches(graph, order, start, first_slot)
+    own = {(p, c): slots.get((p, c), ()) for c, p in spt.parents}
+    _, sites = next(placed_trees(graph, start, own))
+    return sites if len(sites) == len(spt.parents) else None
 
 
 def tree_sites(

@@ -77,6 +77,9 @@ from tpshift.switch_structures import (
     implied_spt,
     is_temporal_switch,
     make_svs,
+    placed_trees,
+    root_first,
+    spt_rank,
     suffix_union,
     svs_at,
     switch_slots,
@@ -84,11 +87,17 @@ from tpshift.switch_structures import (
 )
 
 
-def _searched(search, spt, got, b):
+def _searched(search, spt, lows, b):
     """Every candidate of a per-tree search of spt at cap b, none skipped,
-    got being the tree's lows_of (_tree_lows): the search without
+    lows being the tree's edges from _tree_lows: the search without
     _best_tree. A tree with no placement is searched with lows None."""
-    return list(search(spt, None if got is None else got[1], None, lambda reach, floor: b))
+    return list(search(spt, lows, None, lambda reach, floor: b))
+
+
+def _lows_or_none(g, s, spt, slots, lows_of):
+    """spt's edges from lows_of (_tree_lows), or None if it has no placement."""
+    sites = earliest_sites(g, spt, g.source_path.find(s), slots)
+    return None if sites is None else lows_of(sites)
 
 
 def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
@@ -103,8 +112,8 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
     return [
         candidate
         for spt in trees
-        if (got := lows_of(spt)) is not None or not placed_only
-        for candidate in _searched(search, spt, got, b)
+        if (lows := _lows_or_none(g, s, spt, slots, lows_of)) is not None or not placed_only
+        for candidate in _searched(search, spt, lows, b)
     ]
 
 
@@ -1030,10 +1039,10 @@ class TestFptSolversSkipWhatCannotWin:
         delay = _delay_search(g, s, slots, tick)
         general = _general_search(g, s, b, mode, slots, tick)
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
-            earliest, got = best_svs_for_spt(g, s, spt, slots), lows_of(spt)
+            earliest, got = best_svs_for_spt(g, s, spt), _lows_or_none(g, s, spt, slots, lows_of)
             assert (earliest is None) == (got is None), spt
             # fpt-delay is never asked about a tree with no placement
-            for search in (delay, general) if got else (general,):
+            for search in (delay, general) if got is not None else (general,):
                 candidates = _searched(search, spt, got, b)
                 if earliest is None:
                     assert candidates == [], spt
@@ -1133,17 +1142,17 @@ class TestCostFloors:
         )
         lows = {}
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
-            got = lows_of(spt)
+            got = _lows_or_none(g, s, spt, slots, lows_of)
             # fpt-delay is never asked about a tree with no placement
-            for search, search_mode in searches if got else searches[1:]:
+            for search, search_mode in searches if got is not None else searches[1:]:
                 candidates = _searched(search, spt, got, b)
                 if got is None:
                     assert candidates == [], spt
                 else:
-                    floor = _cost_floor(search_mode, got[1])
+                    floor = _cost_floor(search_mode, got)
                     assert all(cost >= floor for _, cost, _ in candidates), spt
             if got is not None:
-                lows[spt] = {c: low for _, c, low in got[1]}
+                lows[spt] = {c: low for _, c, low in got}
         # the full product of delay splits: none with a delay below its
         # edge's low places
         for ops, _, svs in fpt_delay_candidates_by_product(g, s, b):
@@ -1178,7 +1187,7 @@ class TestAffordableSlots:
         # at b=1 the switch at a, short by 2, is dropped, so the tree's
         # earliest placement boards path 1 at c; at b=2 it boards at a
         g = short_then_affordable
-        sites, _ = _tree_lows(g, "s", _affordable_slots(g, b))(self.TREE)
+        sites = earliest_sites(g, self.TREE, 0, _affordable_slots(g, b))
         assert [g.paths[c].vertices[pos_c] for _, _, c, pos_c in sites] == [board]
         assert len(suffix_union(g, svs_at(g, sites), "s")) == bound
         for mode in MODES:
@@ -1206,6 +1215,51 @@ class TestAffordableSlots:
             g, s, b, mode
         )
         assert _delay_guesses(g, s, b, slots=affordable) == _delay_guesses(g, s, b)
+
+
+def _earliest_by_walk(g, spt, start, slots):
+    """spt's earliest placement walked root first, the reference for
+    placed_trees: each child at the first slot after its parent's anchor."""
+    anchor, sites = {g.source_path_id: start}, []
+    for parent, kids in root_first(g.source_path_id, spt.children_of):
+        for child in kids:
+            slot = next((sl for sl in slots[(parent, child)] if sl[0] > anchor[parent]), None)
+            if slot is None:
+                return None
+            anchor[child] = slot[1]
+            sites.append((parent, slot[0], child, slot[1]))
+    return sites
+
+
+class TestPlacedTrees:
+    """The solvers take their trees from placed_trees, which grows only the
+    trees that place instead of placing every tree under the source path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_case(max_b=3))
+    def test_it_grows_exactly_the_trees_that_place(self, case):
+        # on every slot and on the affordable ones, each tree once, with its
+        # earliest sites, parents before children
+        g, s, b, _ = case
+        start, src = g.source_path.find(s), g.source_path_id
+        for slots in (switch_slots(g), _affordable_slots(g, b)):
+            grown = list(placed_trees(g, start, slots))
+            assert len({spt for spt, _ in grown}) == len(grown)
+            for spt, sites in grown:
+                assert sorted((c, p) for p, _, c, _ in sites) == list(spt.parents)
+                placed = {src}
+                for p, _, c, _ in sites:
+                    assert p in placed, spt  # parents before children
+                    placed.add(c)
+            want = {}
+            for spt in enumerate_spts(g.k, include_partial=True, root=src):
+                sites = _earliest_by_walk(g, spt, start, slots)
+                got = earliest_sites(g, spt, start, slots)
+                assert (got is None) == (sites is None), spt
+                if sites is not None:
+                    assert set(got) == set(sites), spt
+                    want[spt] = set(sites)
+            assert {spt: set(sites) for spt, sites in grown} == want
 
 
 @pytest.fixture
@@ -1252,7 +1306,7 @@ class TestBestBoundFirst:
             "fpt-general": (mode, lambda: _general_search(g, s, b, mode, slots, tick)),
             "fpt-delay": (Mode.DELAY, lambda: _delay_search(g, s, slots, tick)),
         }
-        trees = list(enumerate_spts(g.k, include_partial=True, root=g.source_path_id))
+        trees = sorted(placed_trees(g, 0, slots), key=lambda tree: spt_rank(tree[0]))
         shuffled = trees[:]
         rnd.shuffle(shuffled)
         for algo, (search_mode, search_of) in searches.items():

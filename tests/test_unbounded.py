@@ -15,13 +15,14 @@ from tpshift.graph_core import (
 )
 from tpshift.instances import gen_random
 from tpshift.solver_budgeted import solve_xp_by_b
-from tpshift.solver_unbounded import (
-    Temporalization,
-    _spanning_then_partial,
-    best_svs_for_spt,
-    solve_mrpt,
+from tpshift.solver_unbounded import Temporalization, best_svs_for_spt, solve_mrpt
+from tpshift.switch_structures import (
+    Switch,
+    SwitchPathTree,
+    earliest_sites,
+    make_svs,
+    switch_slots,
 )
-from tpshift.switch_structures import Switch, SwitchPathTree, make_svs
 
 
 def relabeled(graph: TemporalKPathGraph, temp: Temporalization) -> TemporalKPathGraph:
@@ -49,15 +50,34 @@ class TestBestSvsForSpt:
     def test_root_only_tree(self, i1):
         assert best_svs_for_spt(i1, "s", SwitchPathTree(())) == make_svs(())
 
-
-def test_spanning_trees_come_first():
-    seq = list(_spanning_then_partial(3, 0))
-    assert [len(t.members(0)) for t in seq[:3]] == [3, 3, 3]
-    assert seq[3].parents == ()
-    assert len(seq) == 3 + 3
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            ((1, 2), (2, 1)),  # a cycle off the source path
+            ((1, 1),),  # a self-loop, which has no slot table entry
+            ((1, 0), (1, 1)),  # a placed edge, then a self-loop
+            ((2, 1),),  # an edge whose parent is not in the tree
+            ((1, 0), (2, 1), (0, 2)),  # a cycle through the source path
+        ],
+    )
+    def test_tree_not_under_the_source_path_gives_none(self, parents):
+        g = gen_random(3, 5, 15, 0.6, 1)
+        spt = SwitchPathTree(parents)
+        assert best_svs_for_spt(g, "s", spt) is None
+        assert earliest_sites(g, spt, 0, switch_slots(g)) is None
 
 
 class TestSolveMrpt:
+    def test_a_spanning_tree_wins_a_tie_in_reach(self):
+        # {1:0} and {1:0, 2:1} both reach s a b c x: path 2 adds only c and
+        # b, which path 0 and path 1 already reach; the spanning tree wins
+        # although the partial one comes first in canonical order
+        g = graph_of(path(0, "s a b", (0, 1)), path(1, "a c x", (0, 1)), path(2, "c b", (0,)))
+        temp = solve_mrpt(g.paths, "s")
+        assert temp.spt.parents == ((1, 0), (2, 1))
+        assert temp.svs == make_svs([Switch("a", 0, 1), Switch("c", 1, 2)])
+        assert temp.reached == frozenset("sabcx")
+
     def test_fixture(self, i1):
         temp = solve_mrpt(i1.paths, "s")
         assert temp.labels == ((0, 1), (5, 6))
