@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -120,11 +121,28 @@ def _state_limit(args: argparse.Namespace) -> int | None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write text to the --output file, or to stdout without one."""
-    if output:
-        Path(output).write_text(text)
-    else:
+    """Write text to the --output file as UTF-8, or to stdout without one.
+
+    The file is overwritten in place and then cut to the new length, not
+    truncated first: on ext4, a file truncated to length 0 has its blocks
+    allocated and its writeback started when it is closed (auto_da_alloc),
+    which costs more than the write. A target that is not a regular file
+    (/dev/null, a FIFO) is not cut, as ftruncate fails on it. Symlinks are
+    followed. Nothing is synced to disk.
+    """
+    if not output:
         sys.stdout.write(text)
+        return
+    data = text.encode()
+    fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _parse_spt_flag(text: str) -> SwitchPathTree:
@@ -213,9 +231,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     graph, sha = _load_instance(args.instance)
     started = time.perf_counter()
     limit = _state_limit(args)
+    state_limit = DEFAULT_STATE_LIMIT if limit is None else limit
     if args.algo == "unbounded":
         g = normalize_source(graph, graph.source, 0)
-        temp = solve_mrpt(g.paths, g.source)
+        temp = solve_mrpt(g.paths, g.source, limit_states=state_limit)
         ops = _relabel_ops(g, temp.labels)
         mode, budget = Mode.SHIFT, None
         sol = BudgetedSolution(ops, sum(op.cost for op in ops), temp.reached, temp.svs)
@@ -225,7 +244,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         mode, budget = Mode(args.mode), args.budget
         g = normalize_source(graph, graph.source, budget)
         s, b = g.source, budget
-        state_limit = DEFAULT_STATE_LIMIT if limit is None else limit
         svs_limit = DEFAULT_SVS_LIMIT if limit is None else limit
         if args.algo == "xp-b":
             sol = solve_xp_by_b(g, s, b, mode, limit_states=state_limit)
@@ -441,8 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit-states",
         type=int,
         default=None,
-        help="cap on switch sets or guesses tried, or on xp-b's net shift vectors"
-        " (counted up front); also honored via TPSHIFT_LIMIT_STATES",
+        help="cap on switch sets or guesses tried, on unbounded's trees grown, or on"
+        " xp-b's net shift vectors (counted up front); also honored via"
+        " TPSHIFT_LIMIT_STATES",
     )
     sp.add_argument("--spt", default=None, help='fixed-spt tree, e.g. "1:0,2:1"')
     sp.add_argument("--output", default=None, help="write the JSON document here")

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
+from .solver_budgeted import DEFAULT_STATE_LIMIT, _counter
 from .switch_structures import (
+    Site,
     SwitchPathTree,
     SwitchVertexSet,
     _suffix_union_at,
@@ -54,13 +56,17 @@ def best_svs_for_spt(
     return None if sites is None else svs_at(graph, sites)
 
 
-def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
+def solve_mrpt(
+    paths: Sequence[BasePath], s: Vertex, limit_states: int = DEFAULT_STATE_LIMIT
+) -> Temporalization:
     """Choose labels from scratch so that s reaches as much as possible.
 
     Input labels are ignored. s must head a dedicated path (normalize
     first). The winning tree assigns each member path a label block at
     depth * M so that every chosen switch is temporal by construction;
     paths outside the tree get negative labels nothing can switch onto.
+    Each tree grown counts against limit_states; the tree past it raises
+    ResourceLimitError.
     """
     heads = [p.path_id for p in paths if p.vertices and p.vertices[0] == s]
     occurrences = sum(1 for p in paths for v in p.vertices if v == s)
@@ -71,14 +77,16 @@ def solve_mrpt(paths: Sequence[BasePath], s: Vertex) -> Temporalization:
     src = heads[0]
     graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
     union = _suffix_union_at(graph, s)
-    # the largest reach, then a spanning tree (k - 1 edges), then canonical
-    # order; the root-only tree always places
-    spt, sites = min(
-        placed_trees(graph, 0, switch_slots(graph)),
-        key=lambda tree: (
-            -len(union(tree[1])), len(tree[0].parents) < graph.k - 1, spt_rank(tree[0])
-        ),
-    )
+    tick = _counter(limit_states, "switch-path trees")
+
+    def rank(tree: tuple[SwitchPathTree, list[Site]]) -> tuple[int, bool, tuple]:
+        """The largest reach, then a spanning tree (k - 1 edges), then
+        canonical order; called once per tree grown."""
+        tick()
+        return -len(union(tree[1])), len(tree[0].parents) < graph.k - 1, spt_rank(tree[0])
+
+    # the root-only tree always places
+    spt, sites = min(placed_trees(graph, 0, switch_slots(graph)), key=rank)
     svs = svs_at(graph, sites)
 
     total = graph.total_edges()

@@ -259,6 +259,17 @@ class TestSolve:
         assert main([*args, "--limit-states", "1"]) == 4
         assert main([*args, "--limit-states", "2"]) == 0
 
+    def test_unbounded_limit_counts_the_trees_grown(
+        self, tmp_path, capsys, i1_file, monkeypatch
+    ):
+        # two trees under path 0 place on i1, the root-only tree and 1:0
+        args = ["solve", str(i1_file), "--algo", "unbounded"]
+        assert main([*args, "--limit-states", "2"]) == 0
+        assert main([*args, "--limit-states", "1"]) == 4
+        assert "more than 1 switch-path trees" in capsys.readouterr().err
+        monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "1")
+        assert main(args) == 4
+
     def test_state_limit_env(self, tmp_path, capsys, i1_file, monkeypatch):
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "5")
         assert main(["solve", str(i1_file), "--algo", "xp-b", "--budget", "2"]) == 4
@@ -285,6 +296,50 @@ class TestSolve:
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "0")
         assert main(args) == 4
         assert "above the limit of 0" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    """--output overwrites a file in place and cuts it to the new length."""
+
+    GEN = ["gen", "random", "--k", "3", "--n", "4", "--seed", "11"]
+
+    def test_gen_over_a_longer_file_is_the_stdout_text(self, tmp_path, capsys):
+        assert main(self.GEN) == 0
+        text = capsys.readouterr().out
+        out = tmp_path / "inst.kpg"
+        out.write_bytes(b"#" * (3 * len(text)))
+        assert main([*self.GEN, "--output", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+    def test_solve_over_a_larger_file_is_the_stdout_document(self, tmp_path, capsys, i1_file):
+        flags = ["--algo", "xp-k", "--budget", "1"]
+        doc = solve_doc(tmp_path, capsys, i1_file, *flags)
+        out = tmp_path / "sol.json"
+        out.write_bytes(b" " * 5000 + b"{}")
+        assert main(["solve", str(i1_file), *flags, "--output", str(out)]) == 0
+        written = json.loads(out.read_text())
+        del written["wall_time_ms"], doc["wall_time_ms"]
+        assert written == doc
+
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_a_device_is_written_without_cutting(self, capsys, i1_file, command):
+        argv = {
+            "solve": ["solve", str(i1_file), "--algo", "unbounded"],
+            "gen": self.GEN,
+        }[command]
+        assert main([*argv, "--output", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_a_symlink_writes_its_target_and_stays(self, tmp_path, capsys):
+        target = tmp_path / "target.kpg"
+        target.write_text("old\n" * 500)
+        link = tmp_path / "link.kpg"
+        link.symlink_to(target)
+        assert main(self.GEN) == 0
+        text = capsys.readouterr().out
+        assert main([*self.GEN, "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == text
 
 
 class TestParserReuse:
