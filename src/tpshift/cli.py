@@ -155,13 +155,11 @@ def _parse_spt_flag(text: str) -> SwitchPathTree:
         part = part.strip()
         if not part:
             continue
-        child_s, sep, parent_s = part.partition(":")
+        child_s, _, parent_s = part.partition(":")
         try:
             child, parent = int(child_s), int(parent_s)
         except ValueError:
             raise ParameterError(f"--spt entry {part!r} is not child:parent") from None
-        if not sep:
-            raise ParameterError(f"--spt entry {part!r} is not child:parent")
         if child in parents:
             raise ParameterError(f"--spt gives path {child} two parents")
         parents[child] = parent

@@ -387,7 +387,9 @@ def _shortfalls(
     labels: Sequence[tuple[int, ...]], sites: Iterable[Site]
 ) -> list[tuple[int, int, int]]:
     """(parent, child, shortfall) for the switch at each site, its shortfall
-    being the least rise of its label gap that makes it temporal."""
+    being the least rise of its label gap that makes it temporal: a switch
+    set's own sigmas, for its floor, where a slot's are in the slot table
+    (switch_slots)."""
     return [(p, c, labels[p][pos_p - 1] - labels[c][pos_c] + 1) for p, pos_p, c, pos_c in sites]
 
 
@@ -415,16 +417,11 @@ def _affordable_slots(
     graph: TemporalKPathGraph, b: int, pairs: Iterable[tuple[int, int]] | None = None
 ) -> SlotTable:
     """switch_slots(graph, pairs) less every slot whose switch is short by
-    more than b (_shortfalls): making that switch temporal costs any plan at
-    least its shortfall (_cost_floor), so no candidate within b uses it.
-    Slots of one label gap share a shortfall, so _slots_by_gap's groups
-    stay whole or go whole."""
-    labels = [path.labels for path in graph.paths]
+    more than b, its sigma: making that switch temporal costs any plan at
+    least its shortfall (_cost_floor), so no candidate within b uses it."""
     return {
-        (p, c): tuple(
-            (pos_p, pos_c) for pos_p, pos_c in at if labels[p][pos_p - 1] - labels[c][pos_c] < b
-        )
-        for (p, c), at in switch_slots(graph, pairs).items()
+        pair: tuple(slot for slot in at if slot[2] <= b)
+        for pair, at in switch_slots(graph, pairs).items()
     }
 
 
@@ -470,7 +467,7 @@ def _best_tree(
     union = _suffix_union_at(graph, s)
     lows_of = _tree_lows(graph, s, slots)
     ranked = sorted(
-        ((-len(union(sites)), spt_rank(spt), spt, lows_of(sites)) for spt, sites in trees),
+        ((-len(union(sites)), spt_rank(spt), spt, sites) for spt, sites in trees),
         key=itemgetter(0, 1),
     )
     best: _Candidate | None = None
@@ -483,10 +480,11 @@ def _best_tree(
             top = b if reach > best_reach else -1
         return top if floor <= top else -1
 
-    for minus_bound, rank, spt, lows in ranked:
+    for minus_bound, rank, spt, placed in ranked:
         bound = -minus_bound
         if bound < best_reach:
             break  # so is every tree after it
+        lows = lows_of(placed)
         if cap(bound, _cost_floor(mode, lows)) < 0:
             continue
         for ops, cost, sites in search(spt, lows, bound, cap):
@@ -504,28 +502,23 @@ def _tree_lows(
     """lows_of(sites): each edge of a tree as (parent, child, low), in the
     order of sites, the tree's earliest placement on slots (placed_trees).
 
-    An edge's low is the least shortfall (_shortfalls) among its slots after
-    its parent's anchor in the earliest placement. Every search puts each
-    edge at such a slot (see _best_tree's bound), so no candidate of the
-    tree has a switch short by less than its edge's low: _cost_floor of the
-    lows is at most any candidate's cost. On _affordable_slots at b every
-    low is at most b, and the placement and lows are those of the slots a
-    candidate within b can use: later and higher than on the full table.
+    An edge's low is the least sigma (switch_slots) among its slots after
+    its parent's anchor in the earliest placement, its own slot there being
+    one of them. Every search puts each edge at such a slot (see _best_tree's
+    bound), so no candidate of the tree has a switch short by less than its
+    edge's low: _cost_floor of the lows is at most any candidate's cost. On
+    _affordable_slots at b every low is at most b, and the placement and
+    lows are those of the slots a candidate within b can use: later and
+    higher than on the full table.
     """
     src, start = graph.source_path_id, graph.source_path.find(s)
-    labels = [path.labels for path in graph.paths]
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def low(p: int, c: int, after: int) -> int:
-        key = (p, c, after)
-        if key not in memo:  # the earliest slot is among these, so there is one
-            later = [(p, pos_p, c, pos_c) for pos_p, pos_c in slots[(p, c)] if pos_p > after]
-            memo[key] = min(sigma for *_, sigma in _shortfalls(labels, later))
-        return memo[key]
 
     def lows_of(sites: Sequence[Site]) -> list[tuple[int, int, int]]:
         anchor = {src: start, **{c: pos_c for _, _, c, pos_c in sites}}
-        return [(p, c, low(p, c, anchor[p])) for p, _, c, _ in sites]
+        return [
+            (p, c, min(sigma for pos_p, _, sigma in slots[(p, c)] if pos_p > anchor[p]))
+            for p, _, c, _ in sites
+        ]
 
     return lows_of
 
@@ -690,22 +683,19 @@ def _delay_search(
     """fpt-delay's search of one tree: each split within cap(bound, 0), in lex
     order, each a tick, with each child's delay at least its edge's low: a
     switch fits only if its child's delay covers its shortfall, so a split
-    below a low never places. A child's earliest workable slot depends
-    only on (parent, child, parent anchor, parent delay, child delay), so
-    each is found once per solve; a child delay past the parent's plus the
-    pair's largest shortfall fits every slot, so it is memoized as that."""
+    below a low never places. A slot fits if the child's delay covers its
+    sigma plus the delay the parent's own delay carries to it. A child's
+    earliest workable slot depends only on (parent, child, parent anchor,
+    parent delay, child delay), so each is found once per solve; a child
+    delay past the parent's plus the pair's largest sigma fits every slot,
+    so it is memoized as that."""
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    labels = [path.labels for path in graph.paths]
-    sigmas = {  # each slot's shortfall, in the slot table's layout
-        (p, c): [sigma for *_, sigma in _shortfalls(labels, [(p, pp, c, pc) for pp, pc in pairs])]
-        for (p, c), pairs in slots.items()
-    }
-    most = {pair: max(pair_sigmas, default=0) for pair, pair_sigmas in sigmas.items()}
-    earliest: dict[tuple[int, int, int, int, int], tuple[int, int] | None] = {}
+    most = {pair: max((slot[2] for slot in at), default=0) for pair, at in slots.items()}
+    earliest: dict[tuple[int, int, int, int, int], tuple[int, int, int] | None] = {}
     delay = {src: 0}  # the split being placed, set on every tree path before each placement
 
-    def first_fit(parent: int, child: int, after: int) -> tuple[int, int] | None:
+    def first_fit(parent: int, child: int, after: int) -> tuple[int, int, int] | None:
         pair, d_p = (parent, child), delay[parent]
         d_c = min(delay[child], d_p + most[pair])
         key = (parent, child, after, d_p, d_c)
@@ -717,9 +707,9 @@ def _delay_search(
             slot = earliest[key] = next(
                 (
                     slot
-                    for slot, sigma in zip(slots[pair], sigmas[pair])
+                    for slot in slots[pair]
                     if slot[0] > after
-                    and sigma + max(0, d_p - edge_gap(ppath, after, slot[0] - 1)) <= d_c
+                    and slot[2] + max(0, d_p - edge_gap(ppath, after, slot[0] - 1)) <= d_c
                 ),
                 None,
             )
@@ -769,23 +759,6 @@ class _Guess:
     label_gap: int
 
 
-def _slots_by_gap(graph: TemporalKPathGraph, slots: SlotTable):
-    """The slot table with each path pair's slots grouped by label gap.
-
-    A group keeps the table's child order, which is also parent order (the
-    co-sorting the earliest-match scans below need): labels strictly rise
-    along both paths, so shared vertices in opposite orders differ in gap.
-    """
-    out: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-    for (parent, child), pairs in slots.items():
-        plabels, clabels = graph.paths[parent].labels, graph.paths[child].labels
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for pos_p, pos_c in pairs:
-            groups.setdefault(clabels[pos_c] - plabels[pos_p - 1], []).append((pos_p, pos_c))
-        out[(parent, child)] = groups
-    return out
-
-
 def solve_fpt_general(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -824,17 +797,17 @@ def solve_fpt_general(
 
 
 def _general_search(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, table: SlotTable,
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
     tick: Callable[[], None],
 ) -> Callable:
     """fpt-general's search of one tree: each sibling order and guess within
     cap(bound, 0), each a tick. Each search has its own state."""
     src = graph.source_path_id
-    slots = _slots_by_gap(graph, table)
-    # per path pair: each label gap, ascending, with its last slot's pos on the parent
+    # per path pair: each label gap 1 - sigma, ascending, with its last slot's
+    # pos on the parent, the largest (a gap's slots come in parent order)
     tops = {
-        pair: sorted((ell, pairs[-1][0]) for ell, pairs in groups.items())
-        for pair, groups in slots.items()
+        pair: sorted({1 - sigma: pos_p for pos_p, _, sigma in at}.items())
+        for pair, at in slots.items()
     }
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
@@ -939,15 +912,19 @@ def _general_search(
 
 def _place_chain(
     graph: TemporalKPathGraph, parent: int, kids: tuple[int, ...], assign: dict[int, _Guess],
-    slots, after: int, src: int,
+    slots: SlotTable, after: int, src: int,
 ) -> list[Site] | None:
     """Earliest placement of one parent's children, honoring the couplings.
 
-    after is the parent's anchor; the sites come in sibling order. Between
-    consecutive siblings the label gap must be at least (and, when delay or
-    advance is guessed to flow between them, exactly) what the guessed
-    displacements consume. Exactly-coupled runs move as one batch: the head
-    scans forward, the rest must hit their gap on the nose.
+    after is the parent's anchor; the sites come in sibling order. Each kid
+    switches at a slot of its guessed label_gap, whose sigma is 1 - gap.
+    Between consecutive siblings the label gap must be at least (and, when
+    delay or advance is guessed to flow between them, exactly) what the
+    guessed displacements consume. Exactly-coupled runs move as one batch:
+    the head scans forward, the rest must hit their gap on the nose. The
+    scans take a pair's slots in child order, which within one gap is also
+    parent order: labels strictly rise along both paths, so shared vertices
+    in opposite orders differ in gap.
     """
     ppath = graph.paths[parent]
     # the next head goes after lo, with at least need slack from edge ref
@@ -965,9 +942,11 @@ def _place_chain(
             assign[kids[j]].carried_delay > 0 or assign[kids[j - 1]].advance_arriving < 0
         ):
             j += 1
-        for pos_p, pos_q in slots[(parent, kids[i])][assign[kids[i]].label_gap]:
+        for pos_p, pos_q, sigma in slots[(parent, kids[i])]:
             # (slack is never negative, so need <= 0 always holds)
-            if pos_p <= lo or (need > 0 and edge_gap(ppath, ref, pos_p - 1) < need):
+            if sigma != 1 - assign[kids[i]].label_gap or pos_p <= lo or (
+                need > 0 and edge_gap(ppath, ref, pos_p - 1) < need
+            ):
                 continue
             trial = [(parent, pos_p, kids[i], pos_q)]
             for prev, member in zip(kids[i : j - 1], kids[i + 1 : j]):
@@ -975,8 +954,9 @@ def _place_chain(
                 hit = next(
                     (
                         (mp, mq)
-                        for mp, mq in slots[(parent, member)][assign[member].label_gap]
-                        if mp >= cur and edge_gap(ppath, cur - 1, mp - 1) >= want
+                        for mp, mq, sigma in slots[(parent, member)]
+                        if sigma == 1 - assign[member].label_gap
+                        and mp >= cur and edge_gap(ppath, cur - 1, mp - 1) >= want
                     ),
                     None,
                 )

@@ -249,17 +249,24 @@ def root_first(
         yield parent, kids
 
 
-SlotTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
+# (parent, child) -> (pos on parent, pos on child, sigma) per slot, as switch_slots builds it
+SlotTable = dict[tuple[int, int], tuple[tuple[int, int, int], ...]]
+
+
 def switch_slots(
     graph: TemporalKPathGraph, pairs: Iterable[tuple[int, int]] | None = None
 ) -> SlotTable:
     """Where a switch can sit, for every ordered pair of distinct paths.
 
-    slots[(parent, child)] holds (pos on parent, pos on child) for each
-    vertex the two paths share that has an edge into it on the parent
+    slots[(parent, child)] holds (pos on parent, pos on child, sigma) for
+    each vertex the two paths share that has an edge into it on the parent
     (pos >= 1) and an edge out of it on the child (not its last vertex), in
-    child order. Labels are not consulted, so one table serves a whole solve.
-    Given pairs, only those (parent, child) entries are built.
+    child order. sigma is the switch's shortfall, the least rise of its
+    label gap that makes it temporal: the label into the vertex on the
+    parent, less the label out of it on the child, plus one. This is the
+    one place a slot's sigma is read off the labels, once per solve; which
+    slots there are does not depend on labels. Given pairs, only those
+    (parent, child) entries are built.
     """
     if pairs is None:
         pairs = [(p, c) for p in range(graph.k) for c in range(graph.k) if p != c]
@@ -270,9 +277,9 @@ def switch_slots(
             where[parent] = {}
             for i, v in enumerate(graph.paths[parent].vertices):
                 where[parent].setdefault(v, i)  # the first occurrence, as BasePath.find
-        on_parent = where[parent]
+        on_parent, into, out = where[parent], graph.paths[parent].labels, graph.paths[child].labels
         table[(parent, child)] = tuple(
-            (pos_p, pos_c)
+            (pos_p, pos_c, into[pos_p - 1] - out[pos_c] + 1)
             for pos_c, v in enumerate(graph.paths[child].vertices[:-1])
             if (pos_p := on_parent.get(v, 0)) >= 1
         )
@@ -363,7 +370,7 @@ def tree_sites(
         return  # with s off its path not even the empty set is valid
     anchor = {src: start}  # where each chosen path is boarded
     per_edge = [
-        [(parent, pf, child, pt) for pf, pt in slots[(parent, child)]]
+        [(parent, pf, child, pt) for pf, pt, _ in slots[(parent, child)]]
         for child, parent in edges
     ]
     below = [[j for j in range(i) if edges[j][1] == c] for i, (c, _) in enumerate(edges)]

@@ -54,7 +54,6 @@ from tpshift.solver_budgeted import (
     _replayed_labels,
     _set_search,
     _shortfalls,
-    _slots_by_gap,
     _splits,
     _tree_lows,
     min_cost_for_svs,
@@ -165,11 +164,23 @@ class TestCanonicalOps:
         assert [op.edge_index for op in ops] == [2, 1, 0]
 
 
+def _by_gap(slots):
+    """The slot table with each pair's slots grouped by label gap, 1 - sigma,
+    each group in table order: the order fpt-general's placement scans meet
+    a gap's slots in."""
+    out = {}
+    for pair, at in slots.items():
+        groups = out[pair] = {}
+        for pos_p, pos_q, sigma in at:
+            groups.setdefault(1 - sigma, []).append((pos_p, pos_q))
+    return out
+
+
 class TestSwitchSlots:
     def test_groups_are_co_sorted(self):
         for seed in range(15):
             g = small_graph(seed, k=3, share_prob=0.7)
-            for (p, q), groups in _slots_by_gap(g, switch_slots(g)).items():
+            for (p, q), groups in _by_gap(switch_slots(g)).items():
                 for gap, pairs in groups.items():
                     for (p1, q1), (p2, q2) in zip(pairs, pairs[1:]):
                         assert p1 < p2 and q1 < q2
@@ -181,8 +192,10 @@ class TestSwitchSlots:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gap_groups_match_the_per_pair_scan(self, seed):
+        # every gap the oracle finds, with its slots sorted by position, is
+        # the table's slots of sigma = 1 - gap, in table order
         g = small_graph(seed, k=2 + seed % 3, n_per_path=5, lifetime=12, share_prob=0.8)
-        assert _slots_by_gap(g, switch_slots(g)) == slots_by_gap_scan(g)
+        assert _by_gap(switch_slots(g)) == slots_by_gap_scan(g)
 
 
 class TestXpByB:
@@ -893,7 +906,7 @@ class TestDelayGuessLimit:
                 lows = sum(
                     max(0, min(
                         labels[p][pos_p - 1] - labels[c][pos_c] + 1
-                        for pos_p, pos_c in slots[(p, c)]
+                        for pos_p, pos_c, _ in slots[(p, c)]
                         if pos_p > anchor[p]
                     ))
                     for p, _, c, _ in sites
@@ -1175,10 +1188,10 @@ class TestAffordableSlots:
 
     def test_only_slots_short_by_at_most_b_stay(self, short_then_affordable):
         g = short_then_affordable
-        assert switch_slots(g)[(0, 1)] == ((1, 1), (2, 3))
-        assert _affordable_slots(g, 1)[(0, 1)] == ((2, 3),)
+        assert switch_slots(g)[(0, 1)] == ((1, 1, 2), (2, 3, -2))
+        assert _affordable_slots(g, 1)[(0, 1)] == ((2, 3, -2),)
         assert _affordable_slots(g, 2) == switch_slots(g)
-        assert _affordable_slots(g, 1, [(0, 1)]) == {(0, 1): ((2, 3),)}
+        assert _affordable_slots(g, 1, [(0, 1)]) == {(0, 1): ((2, 3, -2),)}
 
     @pytest.mark.parametrize("b, board, bound", [(1, "c", 5), (2, "a", 6)])
     def test_the_trees_bound_is_its_affordable_suffix(

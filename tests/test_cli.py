@@ -182,6 +182,21 @@ class TestSolve:
         )
         assert main(["solve", str(f), "--algo", "xp-b"]) == 3
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("source a\npath 0 : a\n", "fewer than two vertices"),
+            ("source s\nsourcepath 5\npath 0 : s -1-> b\n", "out of range"),
+            ("source s\nsourcepath -1\npath 0 : s -1-> b\n", "out of range"),
+        ],
+        ids=["one-vertex-path", "sourcepath-5", "sourcepath-minus-1"],
+    )
+    def test_an_invalid_instance_names_its_fault(self, tmp_path, capsys, lines, message):
+        f = tmp_path / "bad.kpg"
+        f.write_text("kpathgraph v1\nk 1\n" + lines)
+        assert main(["solve", str(f), "--algo", "xp-b"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_state_limit_flag(self, tmp_path, capsys, i1_file):
         rc = main(
             ["solve", str(i1_file), "--algo", "xp-b", "--budget", "2",

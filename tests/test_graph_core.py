@@ -183,6 +183,8 @@ class TestSlackAndGap:
         with pytest.raises(OrderingError):
             slack(p, "z", "b")
         with pytest.raises(OrderingError):
+            slack(p, "a", "z")
+        with pytest.raises(OrderingError):
             slack(p, "c", "a")
 
     def test_edge_gap_matches_definition(self):

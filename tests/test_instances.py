@@ -173,6 +173,19 @@ class TestDelayGadget:
         g = gen_mcis_delay_gadget(parse_mcis(ONE_EDGE)).graph
         assert parse_instance(write_instance(g)) == g
 
+    @pytest.mark.parametrize(
+        "mcis",
+        [
+            McisInstance((("C:x", ("c1",)), ("D", ("d1",))), frozenset()),
+            McisInstance((("C", ("c1",)), ("D", ("d1",))), frozenset([frozenset(["c1"])])),
+        ],
+        ids=["colon-in-color-name", "one-node-edge"],
+    )
+    def test_an_invalid_mcis_instance_raises(self, mcis):
+        # built directly, past parse_mcis's own checks
+        with pytest.raises(InvalidInstanceError):
+            gen_mcis_delay_gadget(mcis)
+
 
 class TestWitnessOps:
     def test_assignment_must_cover_the_colors(self):

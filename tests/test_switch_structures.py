@@ -349,19 +349,38 @@ class TestEnumerateSvss:
             assert is_valid_svs(g, svs)
 
 
+def _positions(slots):
+    """The slot table without its sigmas, as slots_by_find gives it."""
+    return {pair: [(pos_p, pos_c) for pos_p, pos_c, _ in at] for pair, at in slots.items()}
+
+
+def _with_label_sigmas(g, slots):
+    """slots with each sigma recomputed by the label formula: the label into
+    the vertex on the parent, less the label out of it on the child, plus one."""
+    return {
+        (p, c): tuple(
+            (pos_p, pos_c, g.paths[p].labels[pos_p - 1] - g.paths[c].labels[pos_c] + 1)
+            for pos_p, pos_c, _ in at
+        )
+        for (p, c), at in slots.items()
+    }
+
+
 class TestSwitchSlots:
     def test_ends_of_paths(self):
         # a opens path 1 and ends path 0; b is last on path 1; c is first on
-        # path 0: only (0 -> 1, a) and (1 -> 0, c) have an edge in and out
+        # path 0: only (0 -> 1, a) and (1 -> 0, c) have an edge in and out;
+        # a is entered at time 2 and left at 0, c at 3 and 1: sigma 3 each
         g = graph_of(path(0, "c s a", (1, 2)), path(1, "a x c b", (0, 3, 4)), source="s")
-        assert switch_slots(g) == {(0, 1): ((2, 0),), (1, 0): ((2, 0),)}
-        assert switch_slots(g) == {key: tuple(v) for key, v in slots_by_find(g).items()}
+        assert switch_slots(g) == {(0, 1): ((2, 0, 3),), (1, 0): ((2, 0, 3),)}
+        assert _positions(switch_slots(g)) == slots_by_find(g)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_the_per_vertex_find_scan(self, seed):
         g = gen_random(2 + seed % 4, 4 + seed % 3, 12, 0.5 + 0.1 * (seed % 4), seed=1600 + seed)
-        want = slots_by_find(g)
-        assert switch_slots(g) == {key: tuple(v) for key, v in want.items()}
+        slots = switch_slots(g)
+        assert _positions(slots) == slots_by_find(g)
+        assert slots == _with_label_sigmas(g, slots)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_a_subset_of_pairs_is_that_part_of_the_table(self, seed):
@@ -400,7 +419,7 @@ def _graph_and_switch_sets(draw):
 def _rule_breakers(g):
     """Sets that each break one rule, whatever the random switches draw."""
     src, on = g.paths[0].vertices, g.paths[1].vertices  # gen_random puts s first on path 0
-    two = [on[pos_c] for _, pos_c in switch_slots(g)[(0, 1)][:2]] or on[1:3]
+    two = [on[pos_c] for _, pos_c, _ in switch_slots(g)[(0, 1)][:2]] or on[1:3]
     sets = (
         [Switch(on[1], 0, g.k)], [Switch(on[1], g.k, 1)], [Switch(on[1], -1, 1)],  # off the graph
         [Switch(src[1], 1, 0)],  # onto the source path

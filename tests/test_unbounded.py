@@ -49,6 +49,8 @@ class TestBestSvsForSpt:
 
     def test_root_only_tree(self, i1):
         assert best_svs_for_spt(i1, "s", SwitchPathTree(())) == make_svs(())
+        # even the root-only tree needs its start on the source path
+        assert best_svs_for_spt(i1, "zz", SwitchPathTree(())) is None
 
     @pytest.mark.parametrize(
         "parents",
