@@ -173,6 +173,12 @@ def gen_mcis_delay_gadget(
     endpoints' pairs, reachable unless both endpoints were the boarding
     choice, that is unless the choices fail independence. The budget allows
     one boarding delay per spine and nothing more.
+
+    A one-node color's spines have no gaps, and its node is always the
+    choice. An edge joining two such nodes therefore has no gap to go into,
+    yet always fails independence, so its vertex heads a path of its own
+    instead (then a tail vertex): no edge enters it, no delay reaches it,
+    and the gadget is never covered.
     """
     _check_mcis(mcis)
     if omega is None:
@@ -184,8 +190,11 @@ def gen_mcis_delay_gadget(
             index[node] = (name, i, len(nodes))
     fwd_gap: dict[tuple[str, int], list[str]] = {}
     bwd_gap: dict[tuple[str, int], list[str]] = {}
+    stranded: list[str] = []  # edges between two one-node colors
     for edge in sorted(mcis.edges, key=sorted):
         ev = _edge_vertex(edge)
+        if all(index[node][2] == 1 for node in edge):
+            stranded.append(ev)
         for node in sorted(edge):
             color, i, n = index[node]
             if i >= 2:
@@ -225,6 +234,8 @@ def gen_mcis_delay_gadget(
             verts.append(_bot(name, i - 1))
             labels.append(-(i - 1) * omega)
         paths.append(BasePath(len(paths), tuple(verts), tuple(labels)))
+    for ev in stranded:
+        paths.append(BasePath(len(paths), (ev, f"{ev}:tail"), (0,)))
 
     graph = TemporalKPathGraph(len(paths), tuple(paths), "s", 0)
     if validate(graph):

@@ -627,31 +627,6 @@ def solve_fixed_spt(
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
-def _splits(lows: Sequence[int], top: Callable[[], int]) -> Iterator[tuple[int, ...]]:
-    """Every split of at most top() into one amount per low, none below its
-    low, in lex order: product(range(top() + 1), repeat=len(lows)) less
-    those summing past it or dipping below a low. top() is asked again after
-    each split and may be lower: a prefix is cut once it leaves no split
-    within it as it stands."""
-    parts = len(lows)
-    rest_low = [sum(lows[i:]) for i in range(1, parts + 1)]  # the lows after each part
-    cap = top()
-
-    def fill(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        nonlocal cap
-        amount = lows[i]
-        while used + amount + rest_low[i] <= cap:
-            if i == parts - 1:
-                yield (amount,)
-                cap = top()
-            else:
-                for rest in fill(i + 1, used + amount):
-                    yield (amount, *rest)
-            amount += 1
-
-    return fill(0, 0) if parts else iter([()])
-
-
 def solve_fpt_delay(
     graph: TemporalKPathGraph,
     s: Vertex,
@@ -664,10 +639,9 @@ def solve_fpt_delay(
     the earliest vertex whose labels work out after propagation; guesses
     that strand a switch are dropped: earliest placement opens the longest
     suffix and leaves descendants the most room. Trees and splits that
-    cannot beat the best so far are skipped (_best_tree). limit_states caps
-    the (tree, split) guesses tried, counted as they are tried: with nothing
-    skipped a tree of E edges whose lows (_tree_lows) sum to L <= b has
-    C(E + b - L, E) splits, as no split below a low is tried.
+    cannot beat the best so far are skipped (_best_tree), and only tight
+    splits are tried (_delay_search). limit_states caps the branches taken,
+    one per child given a delay, counted as they are taken.
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -680,61 +654,74 @@ def solve_fpt_delay(
 def _delay_search(
     graph: TemporalKPathGraph, s: Vertex, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
-    """fpt-delay's search of one tree: each split within cap(bound, 0), in lex
-    order, each a tick, with each child's delay at least its edge's low: a
-    switch fits only if its child's delay covers its shortfall, so a split
-    below a low never places. A slot fits if the child's delay covers its
-    sigma plus the delay the parent's own delay carries to it. A child's
-    earliest workable slot depends only on (parent, child, parent anchor,
-    parent delay, child delay), so each is found once per solve; a child
-    delay past the parent's plus the pair's largest sigma fits every slot,
-    so it is memoized as that."""
+    """fpt-delay's search of one tree: each tight split within cap(bound, 0),
+    in lex order (by child), each branch taken a tick.
+
+    A child fits a slot after its parent's anchor iff its delay is at least
+    the slot's tight delay t = max(0, sigma + carried), carried being the
+    part of the parent's delay left at the switch, max(0, d_parent -
+    edge_gap(parent path, parent anchor, pos_p - 1)); a delay places the
+    child at the first slot it fits, in table order. A split is tight if
+    each child's delay is the tight delay of the slot it places at.
+
+    Only tight splits can win. Take a split placing at sites S with some
+    child's delay above its tight delay in S, and lower it to that. The
+    child keeps its slot: it still fits there, and no earlier slot, all
+    of which needed more than its old delay. Its children are carried less,
+    so each fits its slot or an earlier one, and so on down: reach does not
+    drop and cost does. So every split best in (reach, -cost) within a tree
+    is tight, and the tree's first-seen best over splits in lex order is
+    the lex-first of the tight ones.
+
+    The tight splits are generated root first, children in lows order
+    (parents first): a child branches on each record low of t along its
+    slots after its parent's anchor, placed at the slot reaching it, the
+    first that fits that delay. A branch whose delays pass cap(bound, 0)
+    is not taken; nothing in the loops depends on the budget. The complete
+    splits are then yielded in lex order, each only if it is still within
+    cap(bound, 0) at its turn.
+    """
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
-    most = {pair: max((slot[2] for slot in at), default=0) for pair, at in slots.items()}
-    earliest: dict[tuple[int, int, int, int, int], tuple[int, int, int] | None] = {}
-    delay = {src: 0}  # the split being placed, set on every tree path before each placement
-
-    def first_fit(parent: int, child: int, after: int) -> tuple[int, int, int] | None:
-        pair, d_p = (parent, child), delay[parent]
-        d_c = min(delay[child], d_p + most[pair])
-        key = (parent, child, after, d_p, d_c)
-        try:
-            return earliest[key]
-        except KeyError:
-            ppath = graph.paths[parent]
-            # the temporality condition, with the delay carried to the switch
-            slot = earliest[key] = next(
-                (
-                    slot
-                    for slot in slots[pair]
-                    if slot[0] > after
-                    and slot[2] + max(0, d_p - edge_gap(ppath, after, slot[0] - 1)) <= d_c
-                ),
-                None,
-            )
-            return slot
 
     def search(
         spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
     ) -> Iterator[_Candidate]:
-        low = {c: max(0, sigma) for _, c, sigma in lows}
         children = [child for child, _ in spt.parents]
-        for split in _splits([low[c] for c in children], lambda: cap(bound, 0)):
-            tick()
-            delay.update(zip(children, split))
-            anchor, sites = {src: pos_s}, []
-            for parent, child, _ in lows:  # parents before children
-                slot = first_fit(parent, child, anchor[parent])
-                if slot is None:
-                    break
-                anchor[child] = slot[1]
-                sites.append((parent, slot[0], child, slot[1]))
-            else:
+        top = cap(bound, 0)
+        delay, anchor = {src: 0}, {src: pos_s}
+        sites: list[Site] = []
+        found: list[tuple[tuple[int, ...], _Candidate]] = []  # (split, candidate)
+
+        def grow(i: int, spent: int) -> None:
+            if i == len(lows):
                 ops = _canonical_ops({(c, pos): delay[c] for _, _, c, pos in sites if delay[c]})
+                found.append((tuple(delay[c] for c in children), (ops, spent, tuple(sites))))
+                return
+            parent, child, _ = lows[i]
+            ppath, after, d_p = graph.paths[parent], anchor[parent], delay[parent]
+            least = top - spent + 1  # a branch must stay within top
+            for pos_p, pos_c, sigma in slots[(parent, child)]:
+                if pos_p <= after:
+                    continue
+                t = max(0, sigma + max(0, d_p - edge_gap(ppath, after, pos_p - 1)))
+                if t < least:
+                    tick()
+                    least = delay[child] = t
+                    anchor[child] = pos_c
+                    sites.append((parent, pos_p, child, pos_c))
+                    grow(i + 1, spent + t)
+                    sites.pop()
+                    if not t:
+                        break  # no lower delay is left
+
+        grow(0, 0)
+        found.sort(key=itemgetter(0))
+        for _, (ops, cost, placed) in found:
+            if cost <= cap(bound, 0):
                 # the fit test is the temporality condition
-                assert _all_temporal(_shifted_labels(graph, ops), sites)
-                yield ops, sum(split), tuple(sites)
+                assert _all_temporal(_shifted_labels(graph, ops), placed)
+                yield ops, cost, placed
 
     return search
 

@@ -502,13 +502,17 @@ def svss_by_tree(graph: TemporalKPathGraph) -> dict[SwitchPathTree, list[SwitchV
     return out
 
 
-def fpt_delay_candidates_by_product(graph: TemporalKPathGraph, s: Vertex, b: int):
+def fpt_delay_candidates_by_product(
+    graph: TemporalKPathGraph, s: Vertex, b: int, tight_only: bool = False
+):
     """solve_fpt_delay's candidates (ops, cost, svs) over the filtered product
     of delay splits.
 
     Each child takes the first vertex of its path, found on the parent by a
     find scan after the parent's anchor, whose labels work out; every placed
     guess is replayed with apply_sequence and must come out temporal.
+    tight_only keeps only the splits in which each child's delay is the
+    least that works out at the vertex it takes.
     """
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
@@ -525,9 +529,12 @@ def fpt_delay_candidates_by_product(graph: TemporalKPathGraph, s: Vertex, b: int
                     if pos_p is None or pos_p <= anchor[parent]:
                         continue
                     carried = max(0, delay[parent] - edge_gap(ppath, anchor[parent], pos_p - 1))
-                    if ppath.labels[pos_p - 1] + carried < cpath.labels[pos_c] + delay[child]:
+                    least = max(0, ppath.labels[pos_p - 1] + carried - cpath.labels[pos_c] + 1)
+                    if least <= delay[child]:
                         break
                 else:
+                    return None
+                if tight_only and delay[child] != least:
                     return None
                 anchor[child] = pos_c
                 placed.append((child, pos_c, Switch(v, parent, child)))

@@ -238,3 +238,27 @@ def test_08_every_solver_document_verifies(tmp_path, capsys):
             assert lines and all(ln.startswith("PASS ") for ln in lines)
             checked += 1
     assert checked == len(instances) * 6 + 3
+
+
+def test_09_delay_solvers_decide_small_two_color_gadgets():
+    # the reduction as an oracle for the delay solvers: at its own budget a
+    # gadget is covered iff its instance has a colorful independent set,
+    # and xp-k and fpt-delay agree on (reach, cost). fpt-general is not
+    # covered yet: its guesses grow with the budget, 767 at 2+2 nodes
+    # (ROADMAP item 3)
+    checked = 0
+    for mcis in _two_color_instances():
+        (_, a_nodes), (_, b_nodes) = mcis.colors
+        if len(a_nodes) > 2 or len(b_nodes) > 2:
+            continue
+        gadget = gen_mcis_delay_gadget(mcis)
+        g, s, b = gadget.graph, gadget.source, gadget.budget
+        xpk = solve_xp_by_k(g, s, b, Mode.DELAY)
+        fpt = solve_fpt_delay(g, s, b)
+        assert (len(fpt.reached), fpt.cost) == (len(xpk.reached), xpk.cost), mcis
+        independent = any(
+            frozenset(pair) not in mcis.edges for pair in itertools.product(a_nodes, b_nodes)
+        )
+        assert (xpk.reached == g.vertices()) == independent, mcis
+        checked += 1
+    assert checked == 26

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -35,6 +34,7 @@ from tpshift.graph_core import (
     ShiftOperation,
     ValidityError,
     apply_sequence,
+    edge_gap,
     normalize_source,
     reach_set,
 )
@@ -54,7 +54,6 @@ from tpshift.solver_budgeted import (
     _replayed_labels,
     _set_search,
     _shortfalls,
-    _splits,
     _tree_lows,
     min_cost_for_svs,
     net_vector_count,
@@ -657,11 +656,10 @@ class TestFptDelay:
             assert all(op.path_id != g.source_path_id for op in sol.ops)
             assert all(op.delta > 0 for op in sol.ops)
 
-    def test_memo_stops_growing_with_the_budget(self, monkeypatch):
-        # each earliest slot the search has not memoized is found by a scan
-        # that calls edge_gap; a child delay past the parent's plus the
-        # pair's largest shortfall fits every slot, so it finds what a
-        # smaller one did, and a larger budget adds no scans
+    def test_scans_stop_growing_with_the_budget(self, monkeypatch):
+        # the search reads each slot's tight delay with one edge_gap call;
+        # tight delays come from the labels, so a larger budget adds no
+        # branches and no scans
         g = gen_random(3, 5, 15, 0.6, 1)
         scans = [0]
         real = solver_budgeted.edge_gap
@@ -823,13 +821,17 @@ class TestPruningChangesNoSolution:
 
     @pytest.mark.parametrize("seed", PRUNING_SEEDS)
     def test_fpt_delay_yields_the_product_scans_candidates(self, seed):
+        # the product scan's tight splits, each delay the least that fits
+        # its slot: only those can win (_delay_search), and fpt-delay tries
+        # no other
         for g, source in _pruning_case(seed):
             for b in range(5):
                 got = [
                     (ops, cost, svs_at(g, sites))
                     for ops, cost, sites in _delay_guesses(g, source, b)
                 ]
-                assert got == list(fpt_delay_candidates_by_product(g, source, b)), (source, b)
+                want = fpt_delay_candidates_by_product(g, source, b, tight_only=True)
+                assert got == list(want), (source, b)
 
     @pytest.mark.parametrize("seed", PRUNING_SEEDS)
     def test_fpt_general_yields_the_gap_scans_survivors(self, seed):
@@ -886,33 +888,50 @@ class TestGeneralGuessLimit:
             _general_survivors(boarded_twice, "s", 2, mode, count - 1)
 
 
+def _tight_prefixes(g, sites, b):
+    """The tight delay prefixes within b of the tree placed at sites (its
+    edges, parents first), found by a scan of the full product of splits:
+    each child takes the first vertex of its path, found on the parent
+    after the parent's anchor, where its delay works out, and its delay is
+    the least that works out there."""
+    src = g.source_path_id
+    found = set()
+    for split in product(range(b + 1), repeat=len(sites)):
+        if sum(split) > b:
+            continue
+        delay, anchor = {src: 0}, {src: 0}
+        for i, ((p, _, c, _), d) in enumerate(zip(sites, split)):
+            ppath, cpath = g.paths[p], g.paths[c]
+            for pos_c, v in enumerate(cpath.vertices[:-1]):
+                pos_p = ppath.find(v)
+                if pos_p is None or pos_p <= anchor[p]:
+                    continue
+                carried = max(0, delay[p] - edge_gap(ppath, anchor[p], pos_p - 1))
+                least = max(0, ppath.labels[pos_p - 1] + carried - cpath.labels[pos_c] + 1)
+                if least <= d:
+                    break
+            else:
+                break
+            if least != d:
+                break
+            delay[c], anchor[c] = d, pos_c
+            found.add(split[: i + 1])
+    return found
+
+
 class TestDelayGuessLimit:
     @pytest.mark.parametrize("b", range(5))
     def test_the_unpruned_search_counts_every_split(self, tight_chain, boarded_twice, b):
-        # with no tree skipped, fpt-delay tries the C(E + b - L, E) splits of
-        # a tree of E edges that give each edge at least its low, whether or
-        # not they place; L is the sum of the lows, and a tree with L > b or
-        # no placement tries none. An edge's low is its least shortfall (the
-        # delay its switch needs) over the slots after its parent's anchor
-        # in the earliest placement
+        # with no tree skipped, fpt-delay takes one branch per tight prefix
+        # within b of each tree that places, its children parents first:
+        # each delay the least that fits the slot it places at
         for g in (tight_chain, boarded_twice, gen_random(4, 4, 10, 0.8, 5)):
-            slots, labels = switch_slots(g), [p.labels for p in g.paths]
+            slots = switch_slots(g)
             count = 0
             for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
                 sites = earliest_sites(g, spt, 0, slots)
-                if sites is None:
-                    continue
-                anchor = {g.source_path_id: 0, **{c: pos_c for _, _, c, pos_c in sites}}
-                lows = sum(
-                    max(0, min(
-                        labels[p][pos_p - 1] - labels[c][pos_c] + 1
-                        for pos_p, pos_c, _ in slots[(p, c)]
-                        if pos_p > anchor[p]
-                    ))
-                    for p, _, c, _ in sites
-                )
-                if lows <= b:
-                    count += math.comb(len(spt.parents) + b - lows, len(spt.parents))
+                if sites is not None:
+                    count += len(_tight_prefixes(g, sites, b))
             _delay_guesses(g, "s", b, count)
             with pytest.raises(ResourceLimitError, match=f"more than {count - 1} fpt-delay"):
                 _delay_guesses(g, "s", b, count - 1)
@@ -972,26 +991,14 @@ class TestIncumbentBoundTies:
 
 
 class TestDelaySplits:
-    @pytest.mark.parametrize("parts", range(4))
-    def test_splits_come_in_the_filtered_products_order(self, parts):
-        for b in range(7):
-            for lows in product(range(3), repeat=parts):
-                want = [
-                    t
-                    for t in product(range(b + 1), repeat=parts)
-                    if sum(t) <= b and all(a >= low for a, low in zip(t, lows))
-                ]
-                assert list(_splits(lows, lambda: b)) == want, (b, lows)
-
     def test_guess_limit_trips(self, tight_chain):
-        # the guesses tried at b=2: tree 1:0, 2:1 first, the best bound, at
-        # (0, 1), which reaches all 7 vertices at cost 1, so nothing else is
-        # tried: the tree's other splits cost more, and every other tree is
-        # bounded lower. Path 2 needs a delay of 1 at c, 2:1's low, so (0, 0)
-        # is not tried (25 splits with nothing skipped)
-        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=1).cost == 1
-        with pytest.raises(ResourceLimitError, match="more than 0 fpt-delay guesses"):
-            solve_fpt_delay(tight_chain, "s", 2, limit_states=0)
+        # the branches taken at b=2: tree 1:0, 2:1 first, the best bound,
+        # path 1 at a with no delay, then path 2 at c with a delay of 1, the
+        # least that fits there; that split reaches all 7 vertices at cost
+        # 1, and every other tree is bounded lower
+        assert solve_fpt_delay(tight_chain, "s", 2, limit_states=2).cost == 1
+        with pytest.raises(ResourceLimitError, match="more than 1 fpt-delay guesses"):
+            solve_fpt_delay(tight_chain, "s", 2, limit_states=1)
 
 
 @st.composite
@@ -1065,17 +1072,20 @@ class TestFptSolversSkipWhatCannotWin:
                     assert suffix_union(g, svs_at(g, sites), s) <= bound, spt
 
     def test_fpt_delay_answer_holds_at_large_budgets(self):
-        # the answer stops changing at b=50; the bound and the cap keep the
-        # work there from growing as C(E + b, b) per tree, and the limit
-        # counts only the guesses tried: from b = 2,580 on, C(E + b, b)
-        # summed over the trees passes the default limit
+        # the answer stops changing at b=50, and so does the work: only
+        # tight splits are tried, whose delays come from the labels, not the
+        # budget, so every b takes the 6 branches b=50 takes. Trying every
+        # split would take C(E + b, b) per tree, past the default limit
+        # from b = 2,580 on
         g = gen_random(3, 5, 15, 0.6, 1)
         sols = [
-            solve_fpt_delay(normalize_source(g, g.source, b), g.source, b)
-            for b in (50, 100, 200, 2_580)
+            solve_fpt_delay(normalize_source(g, g.source, b), g.source, b, limit_states=6)
+            for b in (50, 100, 200, 2_580, 10**4, 10**5)
         ]
-        assert sols[0] == sols[1] == sols[2] == sols[3]
+        assert all(sol == sols[0] for sol in sols)
         assert (sols[0].cost, len(sols[0].reached)) == (12, 8)
+        with pytest.raises(ResourceLimitError, match="more than 5 fpt-delay guesses"):
+            solve_fpt_delay(g, g.source, 50, limit_states=5)
 
 
 @pytest.fixture

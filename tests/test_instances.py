@@ -245,6 +245,19 @@ class TestWitnessOps:
             winners += independent
         assert winners == 1  # only a1/b2/r1 avoids every edge
 
+    def test_one_node_colors_joined_by_an_edge(self):
+        # the only choice fails independence, and neither color's spines
+        # have a gap for the edge vertex: it heads a path of its own, which
+        # no edge enters, so it stays unreached
+        gadget = gen_mcis_delay_gadget(parse_mcis("color A: a1\ncolor B: b1\nedge a1 b1\n"))
+        g = gadget.graph
+        assert (g.k, gadget.budget, len(g.vertices())) == (6, 15, 11)
+        assert g.paths[5].vertices == ("e:a1:b1", "e:a1:b1:tail")
+        assert validate(g) == [] and is_normalized(g, "s")
+        shifted, cost = apply_sequence(g, ops_from_mcis_witness(gadget, {"A": "a1", "B": "b1"}))
+        assert cost <= gadget.budget
+        assert g.vertices() - reach_set(shifted, "s") == {"e:a1:b1", "e:a1:b1:tail"}
+
     def test_one_node_colors_and_no_edges(self):
         gadget = gen_mcis_delay_gadget(
             parse_mcis("color A: a1\ncolor B: b1\n")
