@@ -991,6 +991,45 @@ class TestIncumbentBoundTies:
 
 
 class TestDelaySplits:
+    @pytest.mark.parametrize("parts", range(4))
+    def test_splits_come_in_the_filtered_products_order(
+        self, tight_chain, boarded_twice, parts
+    ):
+        # the search of a tree of `parts` edges yields the product of splits
+        # within b, filtered to the tight ones that place, in product order
+        # (one delay per child, children in spt.parents order), each at a
+        # cost of its delays' sum; the empty split of a tree with no edges
+        # is tight
+        graphs = [tight_chain, boarded_twice, *(gen_random(4, 4, 10, 0.8, i) for i in range(6))]
+        seen = 0
+        for g in graphs:
+            slots = switch_slots(g)
+            search = _delay_search(g, "s", slots, _counter(DEFAULT_STATE_LIMIT, "fpt-delay"))
+            lows_of = _tree_lows(g, "s", slots)
+            for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+                if len(spt.parents) != parts:
+                    continue
+                lows = _lows_or_none(g, "s", spt, slots, lows_of)
+                if lows is None:
+                    continue
+                sites = earliest_sites(g, spt, 0, slots)
+                children = [child for child, _ in spt.parents]
+                for b in range(5):
+                    tight = [
+                        dict(zip((c for _, _, c, _ in sites), split))
+                        for split in {(), *_tight_prefixes(g, sites, b)}
+                        if len(split) == parts
+                    ]
+                    want = sorted(tuple(d[c] for c in children) for d in tight)
+                    got = []
+                    for ops, cost, _ in _searched(search, spt, lows, b):
+                        delay = {op.path_id: op.delta for op in ops}
+                        got.append(tuple(delay.get(c, 0) for c in children))
+                        assert cost == sum(got[-1]), (spt, b)
+                    assert got == want, (spt, b)
+                    seen += len(want)
+        assert seen, parts
+
     def test_guess_limit_trips(self, tight_chain):
         # the branches taken at b=2: tree 1:0, 2:1 first, the best bound,
         # path 1 at a with no delay, then path 2 at c with a delay of 1, the
