@@ -179,10 +179,26 @@ def gen_mcis_delay_gadget(
     yet always fails independence, so its vertex heads a path of its own
     instead (then a tail vertex): no edge enters it, no delay reaches it,
     and the gadget is never covered.
+
+    omega must be at least 1 + sum over colors c of pos(t_n) + pos(t_(n-1)),
+    pos being a top's position on the spine (path 0) and n the count of c's
+    nodes; by default it is the larger of that and N**4, N the node count.
+    Boarding c at pair d costs (n - d) * omega + pos(t_d) forward and
+    (d - 1) * omega + pos(t_(d-1)) backward, so the boarding of every choice
+    of one node per color fits the budget iff omega is at least that bound.
+    Then no gap holds omega - 1 vertices either, so the labels rise along
+    each path.
     """
     _check_mcis(mcis)
+    spine = ["s"]
+    for name, nodes in mcis.colors:
+        spine.extend(_top(name, i) for i in range(len(nodes) + 1))
+    # t_n and t_(n-1) are neighbors on the spine
+    least = 1 + sum(2 * spine.index(_top(name, len(nodes))) - 1 for name, nodes in mcis.colors)
     if omega is None:
-        omega = mcis.node_count() ** 4
+        omega = max(mcis.node_count() ** 4, least)
+    elif omega < least:
+        raise ParameterError(f"omega={omega} is too small for this instance; need >= {least}")
 
     index: dict[str, tuple[str, int, int]] = {}  # node -> (color, 1-based pos, n)
     for name, nodes in mcis.colors:
@@ -202,9 +218,6 @@ def gen_mcis_delay_gadget(
             if i <= n - 1:
                 bwd_gap.setdefault((color, i), []).append(ev)
 
-    spine = ["s"]
-    for name, nodes in mcis.colors:
-        spine.extend(_top(name, i) for i in range(len(nodes) + 1))
     paths = [
         BasePath(0, tuple(spine), tuple(range(len(spine) - 1)))
     ]
@@ -238,8 +251,7 @@ def gen_mcis_delay_gadget(
         paths.append(BasePath(len(paths), (ev, f"{ev}:tail"), (0,)))
 
     graph = TemporalKPathGraph(len(paths), tuple(paths), "s", 0)
-    if validate(graph):
-        raise ParameterError(f"omega={omega} is too small for this instance")
+    assert not validate(graph)
     budget = sum((len(nodes) - 1) * omega for _, nodes in mcis.colors) + omega - 1
     return DelayGadget(graph, budget, "s", mcis, omega)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -770,9 +769,12 @@ def solve_fpt_general(
     parent's guess and the anchors placed before it. A child tries a label
     gap only if some slot of that gap lies after its parent's anchor (known
     by then, as families come root first): a batch member's slot lies at or
-    after its head's, and the head's after the anchor. A child's delay stops
-    at the budget left: a guess costs at least its delay (its total advance
-    never exceeds the arriving one). Every survivor is asserted temporal.
+    after its head's, and the head's after the anchor. A child tries only its
+    tight delay, the least that makes its switch temporal, and arriving
+    advances and backwashes only down to minus the budget left
+    (_general_search): so no delay that is not tight is guessed or counted,
+    and delay mode's guesses do not grow with b. Every survivor is asserted
+    temporal.
     """
     _check_budget(b)
     _require_source(graph, s)
@@ -787,8 +789,34 @@ def _general_search(
     graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
     tick: Callable[[], None],
 ) -> Callable:
-    """fpt-general's search of one tree: each sibling order and guess within
-    cap(bound, 0), each a tick. Each search has its own state."""
+    """fpt-general's search of one tree: each sibling order and tight guess
+    within cap(bound, 0), each a tick. Each search has its own state.
+
+    A child's guess is (delay, carried, arriving, total, wash, ell), in the
+    terms of _Guess, and its switch is temporal iff carried + total < ell +
+    delay + wash. Its tight delay is the least that satisfies this,
+    max(0, carried + total + 1 - ell - wash). A backwash reaches no delayed
+    edge and advance mode has no delays, so there the tight delay must be 0.
+    A child tries only its tight delay, and arriving and wash only down to
+    -left, left being the budget left; its guesses come in the lex order of
+    the six. That search has the same best as one over every delay within
+    left and every arriving and wash down to -b, in the same order:
+    - Only tight delays can win. Lowering a child's delay to its tight value
+      keeps the child's slot, and each child below loses the same carried
+      delay or drops to 0, which keeps every placement below or moves it
+      earlier. Reach does not drop and cost does, so every best guess is
+      tight, and the first-seen best among the tight guesses is the
+      first-seen best of all.
+    - Arriving: a sibling's arriving advance is paid for by the own advances
+      (arriving - total) of the siblings after it. Each total is capped by
+      the previous sibling's arriving, and the last sibling takes none, so
+      those own advances sum to at least -arriving.
+    - Wash: a child's backwash is paid for by its own children. The first
+      child's total is capped by it, so, as above, their own advances sum to
+      at least -wash.
+    So a guess with arriving or wash below -left has no completion within
+    the cap.
+    """
     src = graph.source_path_id
     # per path pair: each label gap 1 - sigma, ascending, with its last slot's
     # pos on the parent, the largest (a gap's slots come in parent order)
@@ -798,6 +826,36 @@ def _general_search(
     }
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
+
+    def tight_guesses(
+        left: int, ells: list[int], delay_cap: int, advance_cap: int, last: bool, has_kids: bool
+    ) -> Iterator[tuple[int, int, int, int, int, int]]:
+        # a child's tight guesses within left as (delay, carried, arriving,
+        # total, wash, ell), ascending: those with no delay as they come, the
+        # rest held back and sorted by delay (stable: the rest already
+        # ascend). A held-back guess has wash 0 and carried > 0 (then
+        # arriving = total = 0) or ell <= total <= arriving <= 0, so there
+        # are few of them however large left is
+        delayed = []
+        for carried in range(delay_cap + 1):  # delay_cap is 0 in advance mode
+            advanced = allow_advance and not carried  # a delayed edge takes no advance
+            for arriving in range(-left, 1) if advanced and not last else (0,):
+                # own advance arriving - total within left; with none, the
+                # cap is 0: a delay is carried only from a parent with no
+                # backwash or a sibling with no arriving advance
+                lowest = max(-b, arriving - left) if advanced else arriving
+                for total in range(lowest, min(arriving, advance_cap) + 1):
+                    for wash in range(-left, 1) if allow_advance and has_kids else (0,):
+                        for ell in ells:
+                            # the least delay making this switch temporal,
+                            # carried + total < ell + delay + wash, if above 0
+                            delay = carried + total + 1 - ell - wash
+                            if delay <= 0:
+                                yield 0, carried, arriving, total, wash, ell
+                            elif allow_delay and not wash and delay + arriving - total <= left:
+                                # a backwash reaches no delayed edge
+                                delayed.append((delay, carried, arriving, total, wash, ell))
+        yield from sorted(delayed, key=itemgetter(0))
 
     def search(
         spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
@@ -844,42 +902,20 @@ def _general_search(
                 delay_cap, advance_cap = assign[parent].delay, assign[parent].backwash
             else:
                 delay_cap = advance_cap = 0
-            has_kids = bool(sigma.get(child))
-            for delay in range(left + 1) if allow_delay else (0,):
-                for carried in range(delay_cap + 1) if allow_delay else (0,):
-                    # a delayed edge takes no advance
-                    no_arrival = carried > 0 or last or not allow_advance
-                    for arriving in (0,) if no_arrival else range(-b, 1):
-                        if not allow_advance or carried > 0:
-                            total_opts = (arriving,)
-                        else:  # own advance arriving - total within the budget left
-                            lowest = max(-b, arriving - (left - delay))
-                            total_opts = range(lowest, min(arriving, advance_cap) + 1)
-                        for total in total_opts:
-                            cost = delay + (arriving - total)
-                            washes = has_kids and allow_advance and delay == 0
-                            for wash in range(-b, 1) if washes else (0,):
-                                # temporality of this switch, in displacements:
-                                # carried + total < ell + delay + wash
-                                first = bisect_left(ells, carried + total + 1 - delay - wash)
-                                for ell in ells[first:]:
-                                    tick()
-                                    assign[child] = _Guess(
-                                        delay, carried, total, arriving, wash, ell
-                                    )
-                                    if not last:
-                                        yield from extend(i + 1, spent + cost)
-                                        continue
-                                    placed = _place_chain(
-                                        graph, parent, kids, assign, slots, after, src
-                                    )
-                                    if placed is None:
-                                        continue
-                                    for _, _, kid, pos_q in placed:
-                                        anchor[kid] = pos_q
-                                    sites.extend(placed)
-                                    yield from extend(i + 1, spent + cost)
-                                    del sites[-len(placed) :]
+            guesses = tight_guesses(left, ells, delay_cap, advance_cap, last, child in sigma)
+            for delay, carried, arriving, total, wash, ell in guesses:
+                tick()
+                assign[child] = _Guess(delay, carried, total, arriving, wash, ell)
+                placed = [] if not last else _place_chain(
+                    graph, parent, kids, assign, slots, after, src
+                )
+                if placed is None:
+                    continue
+                for _, _, kid, pos_q in placed:
+                    anchor[kid] = pos_q
+                sites.extend(placed)
+                yield from extend(i + 1, spent + delay + (arriving - total))
+                del sites[len(sites) - len(placed) :]
 
         parents_with_kids = sorted({parent for _, parent in spt.parents})
         orderings = itertools.product(

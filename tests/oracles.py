@@ -565,12 +565,16 @@ def fpt_delay_by_product(graph: TemporalKPathGraph, s: Vertex, b: int) -> Budget
     return _replayed(graph, s, keep_best(graph, s, fpt_delay_candidates_by_product(graph, s, b)))
 
 
-def fpt_general_survivors_by_scan(graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode):
+def fpt_general_survivors_by_scan(
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, tight_only: bool = False
+):
     """solve_fpt_general's survivors (ops, cost, svs) by guessing everything first.
 
     Complete guesses come from _guesses, are laid out with _lay_out on
     slots_by_gap_scan, and each laid-out guess is replayed with
-    apply_sequence and dropped unless every switch is temporal.
+    apply_sequence and dropped unless every switch is temporal. tight_only
+    keeps only the guesses in which each child's delay is the least that
+    makes its switch temporal.
     """
     src = graph.source_path_id
     pos_s = graph.source_path.find(s)
@@ -588,7 +592,8 @@ def fpt_general_survivors_by_scan(graph: TemporalKPathGraph, s: Vertex, b: int, 
             chain = [
                 (parent, child, i) for parent, kids in families for i, child in enumerate(kids)
             ]
-            for assign in _guesses(chain, sigma, slots, src, b, allow_delay, allow_advance):
+            guesses = _guesses(chain, sigma, slots, src, b, allow_delay, allow_advance, tight_only)
+            for assign in guesses:
                 outcome = _lay_out(graph, families, assign, slots, src, pos_s)
                 if outcome is None:
                     continue
@@ -648,12 +653,15 @@ def _guesses(
     b: int,
     allow_delay: bool,
     allow_advance: bool,
+    tight_only: bool = False,
 ):
     """Yield complete guess assignments for every chain slot.
 
     Chain couplings are enforced while generating: delay carried to a child
     can only shrink left to right, advance arriving at one sibling caps the
-    next sibling's advance, and budget overruns cut the branch.
+    next sibling's advance, and budget overruns cut the branch. tight_only
+    drops a guess unless its delay is max(0, carried + total + 1 - ell -
+    wash), the least that makes its switch temporal.
     """
     n = len(chain_slots)
 
@@ -701,6 +709,10 @@ def _guesses(
                             for ell in ells:
                                 # temporality of this switch, in displacements
                                 if carried + total + 1 > ell + delay + wash:
+                                    continue
+                                if tight_only and delay != max(
+                                    0, carried + total + 1 - ell - wash
+                                ):
                                     continue
                                 assign[child] = _Guess(
                                     delay, carried, total, arriving, wash, ell

@@ -835,7 +835,10 @@ class TestPruningChangesNoSolution:
 
     @pytest.mark.parametrize("seed", PRUNING_SEEDS)
     def test_fpt_general_yields_the_gap_scans_survivors(self, seed):
-        # the whole stream, not only the winner: same survivors, same order
+        # the whole stream, not only the winner: same survivors, same order.
+        # The scan's tight guesses, each delay the least that makes its
+        # switch temporal: only those can win (_general_search), and
+        # fpt-general tries no other
         for g, source in _pruning_case(seed):
             for mode in MODES:
                 for b in range(5):
@@ -843,8 +846,21 @@ class TestPruningChangesNoSolution:
                         (ops, cost, svs_at(g, sites))
                         for ops, cost, sites in _general_survivors(g, source, b, mode)
                     ]
-                    want = list(fpt_general_survivors_by_scan(g, source, b, mode))
-                    assert got == want, (source, mode, b)
+                    want = fpt_general_survivors_by_scan(g, source, b, mode, tight_only=True)
+                    assert got == list(want), (source, mode, b)
+
+    def test_fpt_general_tries_tight_delays_in_ascending_order(self):
+        # a child's tight delay falls as its label gap rises, so the search
+        # holds back the guesses with a delay and sorts them. Here path 1
+        # joins path 0 at v0 (gap -3, delay 4) or at v1 (gap -2, delay 3),
+        # and the delay-3 guess must come first; no PRUNING_SEEDS case at
+        # b <= 4 has two such guesses that lay out
+        g = gen_random(2, 4, 10, 0.8, 8)
+        for mode in (Mode.DELAY, Mode.SHIFT):
+            survivors = _general_survivors(g, "s", 5, mode)
+            got = [(ops, cost, svs_at(g, sites)) for ops, cost, sites in survivors]
+            want = fpt_general_survivors_by_scan(g, "s", 5, mode, tight_only=True)
+            assert got == list(want), mode
 
 
 @pytest.fixture
@@ -864,9 +880,8 @@ def boarded_twice():
 
 class TestGeneralGuessLimit:
     # the guesses the unpruned search makes on boarded_twice at b=2; a guess
-    # at the anchor-only gap, or a delay beyond the budget left, would raise
-    # them
-    SURVIVOR_COUNTS = {Mode.DELAY: 30, Mode.ADVANCE: 55, Mode.SHIFT: 105}
+    # at the anchor-only gap, or a delay that is not tight, would raise them
+    SURVIVOR_COUNTS = {Mode.DELAY: 8, Mode.ADVANCE: 55, Mode.SHIFT: 55}
     # the guesses solve_fpt_general makes there: it searches tree 1:0, 2:0
     # first, the best bound, finds a guess reaching it at no cost, and
     # searches no other tree
@@ -1125,6 +1140,25 @@ class TestFptSolversSkipWhatCannotWin:
         assert (sols[0].cost, len(sols[0].reached)) == (12, 8)
         with pytest.raises(ResourceLimitError, match="more than 5 fpt-delay guesses"):
             solve_fpt_delay(g, g.source, 50, limit_states=5)
+
+    def test_fpt_general_answer_holds_at_large_budgets(self):
+        # fpt-general tries only tight delays, so delay mode takes the 9
+        # guesses b=50 takes at every b; trying every delay within the budget
+        # left took 2,729 at b=50. Shift mode at b=25 took 251,257 guesses
+        # with arriving advances and backwashes down to -b, not -left
+        g = gen_random(3, 5, 15, 0.6, 1)
+        sols = [
+            solve_fpt_general(
+                normalize_source(g, g.source, b), g.source, b, Mode.DELAY, limit_states=9
+            )
+            for b in (50, 100, 200, 2_580, 10**4, 10**5)
+        ]
+        assert all(sol == sols[0] for sol in sols)
+        assert (sols[0].cost, len(sols[0].reached)) == (12, 8)
+        with pytest.raises(ResourceLimitError, match="more than 8 fpt-general guesses"):
+            solve_fpt_general(g, g.source, 50, Mode.DELAY, limit_states=8)
+        shift = solve_fpt_general(g, g.source, 25, Mode.SHIFT, limit_states=8_757)
+        assert (shift.cost, len(shift.reached)) == (12, 8)
 
 
 @pytest.fixture

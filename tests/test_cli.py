@@ -562,6 +562,20 @@ class TestGen:
         mfile.write_text("edge lonely\n")
         assert main(["gen", "mcis-delay", str(mfile)]) == 2
 
+    def test_mcis_delay_rejects_an_omega_below_the_bound(self, tmp_path, capsys):
+        # boarding a1 and b1 costs 10 past the pair delays, so the budget,
+        # omega - 1 here, must be at least 10
+        mfile = tmp_path / "m.mcis"
+        mfile.write_text("color A: a1\ncolor B: b1\n")
+        assert main(["gen", "mcis-delay", str(mfile), "--omega", "10"]) == 2
+        assert "need >= 11" in capsys.readouterr().err
+        assert main(["gen", "mcis-delay", str(mfile), "--omega", "11"]) == 0
+        assert "budget 10" in capsys.readouterr().err
+        # by default omega is at least the bound: 4 here, not 1**4
+        mfile.write_text("color A: a1\n")
+        assert main(["gen", "mcis-delay", str(mfile)]) == 0
+        assert "budget 3" in capsys.readouterr().err
+
     def test_mcis_delay_non_utf8_file(self, tmp_path, capsys):
         mfile = tmp_path / "m.mcis"
         mfile.write_bytes(b"\xffcolor C: c1 c2\n")

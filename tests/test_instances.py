@@ -8,6 +8,7 @@ import pytest
 
 from tpshift.graph_core import (
     InvalidInstanceError,
+    Mode,
     ParameterError,
     ParseError,
     apply_sequence,
@@ -24,6 +25,7 @@ from tpshift.instances import (
     ops_from_mcis_witness,
     parse_mcis,
 )
+from tpshift.solver_budgeted import solve_xp_by_k
 
 ONE_EDGE = """\
 # two colors, one conflict
@@ -165,9 +167,30 @@ class TestDelayGadget:
         assert gadget.graph.paths[1].labels == (-32, -31, 0)
 
     def test_too_small_omega_raises(self):
-        with pytest.raises(ParameterError):
-            gen_mcis_delay_gadget(parse_mcis(ONE_EDGE), omega=2)
-        gen_mcis_delay_gadget(parse_mcis(ONE_EDGE), omega=3)
+        # the least omega is 1 + (3 + 2) + (6 + 5), the spine positions of
+        # C:t2, C:t1, D:t2 and D:t1; at omega=3 xp-k reached 11 of 14
+        with pytest.raises(ParameterError, match="need >= 17"):
+            gen_mcis_delay_gadget(parse_mcis(ONE_EDGE), omega=16)
+        gen_mcis_delay_gadget(parse_mcis(ONE_EDGE), omega=17)
+
+    def test_least_omega_covers_a_yes_instance(self):
+        # no edge: a1, b1 is a colorful independent set, and boarding it
+        # costs (2 + 1) + (4 + 3) = 10, which budget omega - 1 must cover
+        mcis = parse_mcis("color A: a1\ncolor B: b1\n")
+        with pytest.raises(ParameterError, match="need >= 11"):
+            gen_mcis_delay_gadget(mcis, omega=10)
+        gadget = gen_mcis_delay_gadget(mcis, omega=11)
+        g = gadget.graph
+        sol = solve_xp_by_k(g, gadget.source, gadget.budget, Mode.DELAY)
+        assert (gadget.budget, sol.cost, sol.reached) == (10, 10, g.vertices())
+
+    def test_default_omega_is_at_least_the_bound(self):
+        # N**4 = 1 would give budget 0, under which s reaches 3 of 5
+        gadget = gen_mcis_delay_gadget(parse_mcis("color A: a1\n"))
+        assert (gadget.omega, gadget.budget) == (4, 3)
+        g = gadget.graph
+        sol = solve_xp_by_k(g, gadget.source, gadget.budget, Mode.DELAY)
+        assert sol.reached == g.vertices() and len(sol.reached) == 5
 
     def test_gadget_text_round_trip(self):
         g = gen_mcis_delay_gadget(parse_mcis(ONE_EDGE)).graph
