@@ -250,13 +250,15 @@ def min_cost_for_svs(
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
     sites = _sites_of(graph, svs)
-    return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b)
+    floor = _cost_floor(mode, _shortfalls([path.labels for path in graph.paths], sites))
+    return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b, floor)
 
 
 def _price_sites(
-    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int
+    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int, floor: int
 ) -> tuple[int, tuple[ShiftOperation, ...]] | None:
-    """min_cost_for_svs for the valid switch set at sites, unchecked.
+    """min_cost_for_svs for the valid switch set at sites, unchecked, floor
+    being the set's _cost_floor in mode.
 
     sites come sorted by child, as tree_sites yields them, the d variables'
     order; start is the source's position on its path. The program is built
@@ -264,8 +266,18 @@ def _price_sites(
     below), zero coefficients dropped, and the lexicographic search returns
     its lex-smallest optimum in that order. Ops are read from d and a alone,
     which come first, so the order among the others cannot change them.
+
+    floor bounds the objective from below: every feasible point is a plan,
+    its ops read from d and a, that makes the set's switches temporal at
+    the point's value, and _cost_floor is at most the cost of any such
+    plan. So the search may stop at the first point that costs floor
+    (_lex_search's least). A floor of 0 means no switch is short (every
+    sigma <= 0), so the empty plan already makes each one temporal: the
+    point of all zeros meets every row (each room is -sigma >= 0, each gap
+    >= 0), and at value 0 every d and a is 0, so the answer is (0, ()) with
+    no program at all.
     """
-    if not sites:
+    if floor == 0:
         return 0, ()
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
@@ -364,7 +376,7 @@ def _price_sites(
 
     cost = [(j, 1) for j in (*d.values(), *a.values())]
     le(cost, b)
-    solved = _lex_search(len(hi), [0] * len(hi), hi, rows, tuple(cost))
+    solved = _lex_search(len(hi), [0] * len(hi), hi, rows, tuple(cost), floor)
     if solved is None:
         return None
     value, point = solved
@@ -559,8 +571,9 @@ def _set_search(
     ) -> Iterator[_Candidate]:
         for sites in tree_sites(graph, spt, slots):
             tick()
-            top = cap(len(union(sites)), _cost_floor(mode, _shortfalls(labels, sites)))
-            priced = None if top < 0 else _price_sites(graph, sites, start, mode, top)
+            floor = _cost_floor(mode, _shortfalls(labels, sites))
+            top = cap(len(union(sites)), floor)
+            priced = None if top < 0 else _price_sites(graph, sites, start, mode, top, floor)
             if priced is not None:
                 yield priced[1], priced[0], sites
 

@@ -391,6 +391,63 @@ def cartesian_ilp_min(instance: IlpInstance) -> tuple[int, dict[str, int]] | Non
     return best[0], dict(zip(names, best[1]))
 
 
+def propagate_by_full_passes(n, lo, hi, rows) -> bool:
+    """ilp_mini's bounds propagation as full passes: scan every row, again
+    and again, until no bound moves. False on an emptied domain."""
+    if any(lo[j] > hi[j] for j in range(n)):
+        return False
+    changed = True
+    while changed:
+        changed = False
+        for row, rhs in rows:
+            base = 0
+            for j, c in row:
+                base += c * lo[j] if c > 0 else c * hi[j]
+            if base > rhs:
+                return False
+            for j, c in row:
+                own = c * lo[j] if c > 0 else c * hi[j]
+                residual = rhs - (base - own)
+                if c > 0:
+                    limit = residual // c  # floor for positive coefficient
+                    if limit < hi[j]:
+                        hi[j] = limit
+                        changed = True
+                else:
+                    limit = -(residual // (-c))  # ceil(residual / c), c < 0
+                    if limit > lo[j]:
+                        lo[j] = limit
+                        changed = True
+                if lo[j] > hi[j]:
+                    return False
+    return True
+
+
+def lex_search_by_full_passes(n, lo0, hi0, rows, obj, least=None):
+    """ilp_mini._lex_search with full-pass propagation at every box and no
+    stop before the last leaf; least is taken and ignored, so that this can
+    stand in for it."""
+    best = None
+    stack = [(lo0, hi0)]
+    while stack:
+        lo, hi = stack.pop()
+        if not propagate_by_full_passes(n, lo, hi, rows):
+            continue
+        floor = sum(c * lo[j] if c > 0 else c * hi[j] for j, c in obj)
+        if best is not None and floor >= best[0]:
+            continue
+        j = next((j for j in range(n) if lo[j] < hi[j]), None)
+        if j is None:
+            best = (floor, lo)
+            continue
+        mid = (lo[j] + hi[j]) // 2
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[j], lower_hi[j] = mid + 1, mid
+        stack.append((upper_lo, hi))
+        stack.append((lo, lower_hi))
+    return best
+
+
 def enumerate_svss_by_filtering(graph: TemporalKPathGraph):
     """Valid switch-vertex-sets in the reference stream order.
 

@@ -19,6 +19,7 @@ from oracles import (
     fpt_delay_candidates_by_product,
     fpt_general_by_scan,
     fpt_general_survivors_by_scan,
+    lex_search_by_full_passes,
     min_cost_for_svs_brute,
     min_cost_for_svs_by_names,
     slots_by_gap_scan,
@@ -515,7 +516,9 @@ class TestPricingMatchesTheNamedModel:
                         for b in range(6):
                             want = min_cost_for_svs_by_names(g, svs, mode, b)
                             assert min_cost_for_svs(g, svs, mode, b) == want, (svs, mode, b)
-                            assert _price_sites(g, sites, start, mode, b) == want, (svs, mode, b)
+                            floor = _floor_of(g, svs, mode)
+                            got = _price_sites(g, sites, start, mode, b, floor)
+                            assert got == want, (svs, mode, b)
 
 
 class TestXpByK:
@@ -567,6 +570,16 @@ class TestXpByK:
         by_k = solve_xp_by_k(g, "s", b, mode)
         by_b = solve_xp_by_b(g, "s", b, mode)
         assert (len(by_k.reached), by_k.cost) == (len(by_b.reached), by_b.cost)
+
+    @pytest.mark.parametrize("seed, reach, cost", [(0, 21, 34), (1, 16, 4), (2, 22, 14)])
+    def test_shift_answer_holds_at_large_budgets(self, seed, reach, cost):
+        # a set's program stops at its first point that costs the set's
+        # floor, so budgets 10 and 1,000 times as wide still solve in
+        # well under a second
+        g = gen_random(4, 8, 24, 0.6, seed)
+        sols = [solve_xp_by_k(g, g.source, b, Mode.SHIFT) for b in (100, 1_000, 100_000)]
+        assert all(sol == sols[0] for sol in sols)
+        assert (len(sols[0].reached), sols[0].cost) == (reach, cost)
 
 
 class TestFixedSpt:
@@ -1410,3 +1423,57 @@ class TestBestBoundFirst:
             for order in (trees[::-1], shuffled):
                 got = _best_tree(g, s, b, search_mode, slots, order, search_of())
                 assert got == want, algo
+
+
+def _xp_k_then_fixed_spt(g, s, b, mode):
+    """xp-k's solution, then fixed-spt's on the tree of its witness."""
+    xpk = solve_xp_by_k(g, s, b, mode)
+    return xpk, solve_fixed_spt(g, s, b, mode, implied_spt(xpk.witness_svs))
+
+
+class TestPricingShortcuts:
+    """_price_sites builds no program for a set already temporal, and
+    _lex_search rescans only the rows whose variables moved and stops at
+    the set's floor: xp-k and fixed-spt answer as they do with full-pass
+    propagation searching every leaf (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solutions_equal_those_priced_by_full_passes(self, seed, monkeypatch):
+        g = gen_random(4, 8, 24, 0.6, seed)
+        for b in (0, 2, 4, 25):
+            for mode in MODES:
+                got = _xp_k_then_fixed_spt(g, g.source, b, mode)
+                with monkeypatch.context() as patched:
+                    patched.setattr(solver_budgeted, "_lex_search", lex_search_by_full_passes)
+                    assert _xp_k_then_fixed_spt(g, g.source, b, mode) == got, (b, mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_case(max_b=3))
+    def test_small_cases_equal_those_priced_by_full_passes(self, case):
+        g, s, b, mode = case
+        got = _xp_k_then_fixed_spt(g, s, b, mode)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(solver_budgeted, "_lex_search", lex_search_by_full_passes)
+            assert _xp_k_then_fixed_spt(g, s, b, mode) == got
+
+    def test_a_set_already_temporal_builds_no_program(self, short_then_affordable, monkeypatch):
+        # path 1 boards at c as the labels stand, floor 0: (0, ()) unpriced.
+        # At b=1 the slot at a, short by 2, is dropped, so xp-k builds none
+        g = short_then_affordable
+        at_c, at_a = make_svs([Switch("c", 0, 1)]), make_svs([Switch("a", 0, 1)])
+        programs = []
+        real = solver_budgeted._lex_search
+
+        def recording(n, *args):
+            programs.append(n)
+            return real(n, *args)
+
+        monkeypatch.setattr(solver_budgeted, "_lex_search", recording)
+        for mode in MODES:
+            assert _floor_of(g, at_c, mode) == 0
+            assert min_cost_for_svs(g, at_c, mode, 3) == (0, ())
+            sol = solve_xp_by_k(g, "s", 1, mode)
+            assert (sol.cost, sol.witness_svs) == (0, at_c), mode
+        assert programs == []
+        assert min_cost_for_svs(g, at_a, Mode.DELAY, 3)[0] == 2
+        assert len(programs) == 1

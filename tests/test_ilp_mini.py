@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cartesian_ilp_min
+from oracles import cartesian_ilp_min, lex_search_by_full_passes
 from tpshift.ilp_mini import (
     IlpInstance,
     IntVar,
     LinearConstraint,
+    _lex_search,
     eq,
     ge,
     le,
@@ -168,3 +171,40 @@ def test_agrees_with_grid_scan_on_wide_negative_domains(case):
         constraints.append({"<=": le, ">=": ge, "==": eq}[sense](pairs, rng.randint(-40, 40)))
     inst = _inst(variables, constraints, [(n, rng.randint(-3, 3)) for n in names])
     assert solve_min(inst) == cartesian_ilp_min(inst)
+
+
+@st.composite
+def _program(draw):
+    """_lex_search's input as solve_min builds it: 1 to 4 variables with
+    lower bounds from -20 to 5 and widths up to 30, some domains empty, and
+    up to 4 constraints of distinct variables, each == one row either way."""
+    n = draw(st.integers(1, 4))
+    lo = [draw(st.integers(-20, 5)) for _ in range(n)]
+    hi = [x + draw(st.integers(-1, 30)) for x in lo]
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        row = tuple((j, draw(coeffs)) for j in support)
+        rhs, sense = draw(st.integers(-40, 40)), draw(st.sampled_from(("<=", ">=", "==")))
+        if sense != ">=":
+            rows.append((row, rhs))
+        if sense != "<=":
+            rows.append((tuple((j, -c) for j, c in row), -rhs))
+    obj = tuple((j, c) for j in range(n) if (c := draw(st.integers(-3, 3))))
+    return n, lo, hi, rows, obj
+
+
+class TestWorklistSearchMatchesFullPasses:
+    """_lex_search rescans only the rows whose variables moved, and stops at
+    the first leaf at least: the same (value, point) as scanning every row
+    at every box and searching every leaf (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_program(), st.integers(0, 5))
+    def test_same_optimum_with_and_without_a_floor(self, program, below):
+        n, lo, hi, rows, obj = program
+        want = lex_search_by_full_passes(n, lo.copy(), hi.copy(), rows, obj)
+        assert _lex_search(n, lo.copy(), hi.copy(), rows, obj) == want
+        least = (0 if want is None else want[0]) - below  # at or below the optimum
+        assert _lex_search(n, lo.copy(), hi.copy(), rows, obj, least) == want
