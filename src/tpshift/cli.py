@@ -30,10 +30,10 @@ from .graph_core import (
     ShiftOperation,
     TemporalKPathGraph,
     apply_sequence,
-    apply_shift,
     normalize_source,
     parse_instance,
     reach_set,
+    shift_labels,
     validate,
     write_instance,
 )
@@ -186,15 +186,13 @@ def _relabel_ops(
 ) -> tuple[ShiftOperation, ...]:
     """Ops that rewrite every label to the given target, left to right."""
     ops: list[ShiftOperation] = []
-    g = graph
     for pid, targets in enumerate(labels):
+        cur = graph.paths[pid].labels
         for ei, t in enumerate(targets):
-            cur = g.paths[pid].labels[ei]
-            if cur != t:
-                op = ShiftOperation(pid, ei, t - cur)
-                ops.append(op)
-                g = apply_shift(g, op)
-    assert all(g.paths[i].labels == tuple(labels[i]) for i in range(g.k))
+            if cur[ei] != t:
+                ops.append(ShiftOperation(pid, ei, t - cur[ei]))
+                cur = shift_labels(cur, ei, t - cur[ei])
+        assert cur == tuple(targets)
     return tuple(ops)
 
 
@@ -237,8 +235,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         mode, budget = Mode.SHIFT, None
         sol = BudgetedSolution(ops, sum(op.cost for op in ops), temp.reached, temp.svs)
     else:
-        if args.budget < 0:
-            raise ParameterError(f"budget must be >= 0, got {args.budget}")
         mode, budget = Mode(args.mode), args.budget
         g = normalize_source(graph, graph.source, budget)
         s, b = g.source, budget

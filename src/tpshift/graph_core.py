@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Vertex = str
 
@@ -158,25 +158,19 @@ def validate(graph: TemporalKPathGraph) -> list[str]:
 
 
 def apply_shift(graph: TemporalKPathGraph, op: ShiftOperation) -> TemporalKPathGraph:
-    """Shift one edge and propagate along its base-path.
+    """Shift one edge and propagate along its base-path: apply_sequence of
+    the one op (shift_labels gives the rule)."""
+    return apply_sequence(graph, (op,))[0]
+
+
+def shift_labels(labels: tuple[int, ...], edge_index: int, delta: int) -> tuple[int, ...]:
+    """One path's labels after one shift and its propagation.
 
     The targeted label becomes t + delta. The d-th edge after it is floored
     at t + delta + d, the d-th edge before it is capped at t + delta - d.
     Both clauses are always applied; the one on the wrong side of a given
     sign is a no-op because labels are at least one apart.
     """
-    path = graph.path(op.path_id)
-    if not 0 <= op.edge_index < path.edge_count():
-        raise AddressingError(f"path {op.path_id} has no edge {op.edge_index}")
-    paths = list(graph.paths)
-    paths[op.path_id] = replace(
-        path, labels=shift_labels(path.labels, op.edge_index, op.delta)
-    )
-    return replace(graph, paths=tuple(paths))
-
-
-def shift_labels(labels: tuple[int, ...], edge_index: int, delta: int) -> tuple[int, ...]:
-    """One path's labels after apply_shift's shift-and-propagate rule."""
     base = labels[edge_index] + delta
     out = list(labels)
     out[edge_index] = base
@@ -187,19 +181,40 @@ def shift_labels(labels: tuple[int, ...], edge_index: int, delta: int) -> tuple[
     return tuple(out)
 
 
+def _labels_after(
+    graph: TemporalKPathGraph, ops: Iterable[ShiftOperation]
+) -> list[tuple[int, ...]]:
+    """Every path's labels after ops, left to right, each by shift_labels.
+
+    The one replay of ops: raises AddressingError at the first op whose path
+    or edge the graph lacks.
+    """
+    labels = [path.labels for path in graph.paths]
+    for op in ops:
+        if not 0 <= op.path_id < len(labels):
+            raise AddressingError(f"no path {op.path_id}")
+        if not 0 <= op.edge_index < len(labels[op.path_id]):
+            raise AddressingError(f"path {op.path_id} has no edge {op.edge_index}")
+        labels[op.path_id] = shift_labels(labels[op.path_id], op.edge_index, op.delta)
+    return labels
+
+
 def apply_sequence(
     graph: TemporalKPathGraph, ops: tuple[ShiftOperation, ...] | list[ShiftOperation]
 ) -> tuple[TemporalKPathGraph, int]:
-    """Fold apply_shift left to right. Returns (graph, total cost).
+    """Apply ops left to right. Returns (graph, total cost).
 
     Order-sensitive by design: a delay followed by an advance need not equal
-    the reverse order.
+    the reverse order. One graph is built per replay: with no ops it is the
+    graph itself, else only the paths whose labels changed are rebuilt.
     """
-    cost = 0
-    for op in ops:
-        graph = apply_shift(graph, op)
-        cost += op.cost
-    return graph, cost
+    if not ops:
+        return graph, 0
+    paths = tuple(
+        path if labels == path.labels else replace(path, labels=labels)
+        for path, labels in zip(graph.paths, _labels_after(graph, ops))
+    )
+    return replace(graph, paths=paths), sum(op.cost for op in ops)
 
 
 def slack(path: BasePath, u: Vertex, v: Vertex) -> int:

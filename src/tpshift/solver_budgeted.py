@@ -10,12 +10,12 @@ solve_fpt_delay     delay-only search over switch-path trees
 solve_fpt_general   displacement-guessing search, all modes
 solve_fixed_spt     best solution realizing one prescribed path tree
 
-All but xp-b search only the slots a switch can take within the budget
-(_affordable_slots) and only the switch-path trees that place on them
-(placed_trees), keep their best in _best_tree, one tree at a time, best
-bound first, searching only what can win, and count their work as they do
-it (_counter). xp-b counts its vectors up front, the exact size
-of its full scan.
+All but xp-b run one pipeline, _best_tree: it searches only the slots a
+switch can take within the budget (_affordable_slots) and only the
+switch-path trees that place on them (placed_trees), keeps the best one
+tree at a time, best bound first, searching only what can win; each solver
+names its per-tree search and counts its work as it goes (_counter). xp-b
+counts its vectors up front, the exact size of its full scan.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .graph_core import (
     TemporalKPathGraph,
     ValidityError,
     Vertex,
+    _labels_after,
     apply_sequence,
     edge_gap,
     is_normalized,
@@ -249,16 +250,15 @@ def min_cost_for_svs(
     _check_budget(b)
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
-    sites = _sites_of(graph, svs)
-    floor = _cost_floor(mode, _shortfalls([path.labels for path in graph.paths], sites))
-    return _price_sites(graph, sites, graph.source_path.find(graph.source), mode, b, floor)
+    start = graph.source_path.find(graph.source)
+    return _price_sites(graph, _sites_of(graph, svs), start, mode, b)
 
 
 def _price_sites(
-    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int, floor: int
+    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int
 ) -> tuple[int, tuple[ShiftOperation, ...]] | None:
-    """min_cost_for_svs for the valid switch set at sites, unchecked, floor
-    being the set's _cost_floor in mode.
+    """min_cost_for_svs for the valid switch set at sites, unchecked; b may
+    be negative, which nothing meets.
 
     sites come sorted by child, as tree_sites yields them, the d variables'
     order; start is the source's position on its path. The program is built
@@ -267,16 +267,26 @@ def _price_sites(
     its lex-smallest optimum in that order. Ops are read from d and a alone,
     which come first, so the order among the others cannot change them.
 
-    floor bounds the objective from below: every feasible point is a plan,
-    its ops read from d and a, that makes the set's switches temporal at
-    the point's value, and _cost_floor is at most the cost of any such
-    plan. So the search may stop at the first point that costs floor
-    (_lex_search's least). A floor of 0 means no switch is short (every
-    sigma <= 0), so the empty plan already makes each one temporal: the
-    point of all zeros meets every row (each room is -sigma >= 0, each gap
-    >= 0), and at value 0 every d and a is 0, so the answer is (0, ()) with
-    no program at all.
+    Each switch's shortfall sigma (switch_slots) is read off the labels
+    once, here: its row's room is -sigma, and the set's floor is
+    _cost_floor of its sigmas. The floor bounds the objective from below:
+    every feasible point is a plan, its ops read from d and a, that makes
+    the set's switches temporal at the point's value, and _cost_floor is at
+    most the cost of any such plan. So a floor past b means no plan within
+    b (None, with no program), and the search may stop at the first point
+    that costs floor (_lex_search's least). A floor of 0 means no switch is
+    short (every sigma <= 0), so the empty plan already makes each one
+    temporal: the point of all zeros meets every row (each room is -sigma
+    >= 0, each gap >= 0), and at value 0 every d and a is 0, so the answer
+    is (0, ()) with no program at all.
     """
+    shortfalls = [
+        (p, q, graph.paths[p].labels[pos_p - 1] - graph.paths[q].labels[pos_q] + 1)
+        for p, pos_p, q, pos_q in sites
+    ]
+    floor = _cost_floor(mode, shortfalls)
+    if floor > b:
+        return None
     if floor == 0:
         return 0, ()
     allow_delay = mode is not Mode.ADVANCE
@@ -359,8 +369,7 @@ def _price_sites(
                     expr += [(d[p], -1), (pd[p, pos1], 1)]
                 ge(expr, -edge_gap(path, anchor[p], pos1 - 1))
 
-    for p, pf, q, _ in sites:
-        room = graph.paths[q].labels[anchor[q]] - graph.paths[p].labels[pf - 1] - 1
+    for (p, pf, q, _), (_, _, sigma) in zip(sites, shortfalls):
         expr = []
         if allow_delay and p != src:
             expr.append((pd[p, pf], 1))
@@ -372,7 +381,7 @@ def _price_sites(
             expr.append((d[q], -1))
         if allow_advance and q in offs:
             expr.append((e[q], 1))
-        le(expr, room)
+        le(expr, -sigma)
 
     cost = [(j, 1) for j in (*d.values(), *a.values())]
     le(cost, b)
@@ -392,16 +401,6 @@ def _price_sites(
 
 
 _Candidate = tuple[tuple[ShiftOperation, ...], int, tuple[Site, ...]]
-
-
-def _shortfalls(
-    labels: Sequence[tuple[int, ...]], sites: Iterable[Site]
-) -> list[tuple[int, int, int]]:
-    """(parent, child, shortfall) for the switch at each site, its shortfall
-    being the least rise of its label gap that makes it temporal: a switch
-    set's own sigmas, for its floor, where a slot's are in the slot table
-    (switch_slots)."""
-    return [(p, c, labels[p][pos_p - 1] - labels[c][pos_c] + 1) for p, pos_p, c, pos_c in sites]
 
 
 def _cost_floor(mode: Mode, shortfalls: Iterable[tuple[int, int, int]]) -> int:
@@ -437,25 +436,33 @@ def _affordable_slots(
 
 
 def _best_tree(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
-    trees: Iterable[tuple[SwitchPathTree, list[Site]]], search: Callable,
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, search_of: Callable,
+    tick: Callable[[], None], spt: SwitchPathTree | None = None,
 ) -> _Candidate | None:
-    """The first-seen candidate of largest (reach, -cost), reach being its
-    sites' suffix union size, over every tree's search with the trees in
-    canonical order (spt_rank), whatever their order in trees: the one
-    keep-best loop of every solver here but xp-b. trees holds (spt, sites)
-    pairs, sites being spt's earliest placement on slots (placed_trees,
-    earliest_sites), and slots covers the trees' edges.
+    """The one solve pipeline of every solver here but xp-b: the first-seen
+    candidate of largest (reach, -cost), reach being its sites' suffix
+    union size, over every tree's search with the trees in canonical order
+    (spt_rank), whatever the order they come in.
 
-    search(spt, lows, bound, cap) yields a tree's candidates in a fixed
-    order, each within b, given the tree's edges as (parent, child, low)
-    (_tree_lows), parents before children, and its bound. It asks
-    cap(reach, floor) for the most a candidate of that reach, costing at
-    least floor, may cost and still win: b above the best reach; at the best
-    reach, the best cost in a tree ranked before the best's and one below it
-    otherwise; -1 below the best reach or when floor is past that. The
-    answer moves only when search yields, so a search may keep it between
-    yields. A candidate wins iff its cost is at most cap(its reach, 0).
+    It checks b (_check_budget) and s (_require_source), keeps only the
+    slots a switch can take within b (_affordable_slots), and takes the
+    trees with their earliest placements on them: every tree that places
+    (placed_trees), or, given spt, that one tree, checked first (one parent
+    per path, none to the root; edges on the graph; hanging under the
+    source path, each a ParameterError), if it places (earliest_sites), its
+    slots built for its own edges only.
+
+    search_of(graph, s, b, mode, slots, tick) builds the per-tree search,
+    tick being its counter (_counter). That search(spt, lows, bound, cap)
+    yields a tree's candidates (ops, cost, sites) in a fixed order, each
+    within b, given the tree's edges as (parent, child, low) (_tree_lows),
+    parents before children, and its bound. It asks cap(reach, floor) for
+    the most a candidate of that reach, costing at least floor, may cost
+    and still win: b above the best reach; at the best reach, the best cost
+    in a tree ranked before the best's and one below it otherwise; -1 below
+    the best reach or when floor is past that. The answer moves only when
+    search yields, so a search may keep it between yields. A candidate wins
+    iff its cost is at most cap(its reach, 0).
 
     Trees go best bound first, bound being the suffix union size of a
     tree's earliest placement, ties in canonical order. The loop stops at
@@ -475,6 +482,28 @@ def _best_tree(
       is the max in (reach, -cost, earlier tree, earlier in its tree's
       search), the first-seen max over the trees in canonical order.
     """
+    _check_budget(b)
+    _require_source(graph, s)
+    if spt is None:
+        slots = _affordable_slots(graph, b)
+        trees = placed_trees(graph, 0, slots)
+    else:
+        root, mapping = graph.source_path_id, dict(spt.parents)
+        if len(mapping) != len(spt.parents) or root in mapping:
+            raise ParameterError(
+                f"tree must give each path one parent, none to the root (path {root})"
+            )
+        for child, parent in spt.parents:
+            if not (0 <= child < graph.k and 0 <= parent < graph.k):
+                raise ParameterError(f"tree edge {child}<-{parent} is off this graph")
+        if not _all_reach_root(mapping, root):
+            raise ParameterError(
+                f"tree does not hang together under the source path (path {root})"
+            )
+        slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
+        placed = earliest_sites(graph, spt, 0, slots)
+        trees = [] if placed is None else [(spt, placed)]
+    search = search_of(graph, s, b, mode, slots, tick)
     union = _suffix_union_at(graph, s)
     lows_of = _tree_lows(graph, s, slots)
     ranked = sorted(
@@ -542,28 +571,18 @@ def _replayed(graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None) -> 
     return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs_at(graph, sites))
 
 
-def _shifted_labels(
-    graph: TemporalKPathGraph, ops: Iterable[ShiftOperation]
-) -> list[tuple[int, ...]]:
-    """Every path's labels after apply_sequence(graph, ops), as plain tuples."""
-    labels = [path.labels for path in graph.paths]
-    for op in ops:
-        labels[op.path_id] = shift_labels(labels[op.path_id], op.edge_index, op.delta)
-    return labels
-
-
 def _set_search(
-    graph: TemporalKPathGraph, s: Vertex, mode: Mode, slots: SlotTable, tick: Callable[[], None]
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
+    tick: Callable[[], None],
 ) -> Callable:
     """xp-k's and fixed-spt's search of one tree: each of its valid switch
     sets (tree_sites), each a tick, priced exactly within cap(its own suffix
-    union size, _cost_floor of its own _shortfalls) unless that is -1. So a
-    set that prices at all becomes the best, and its ops need no second
-    pricing at b: within any budget c >= its cheapest cost C the integer
-    program has the same lex-smallest optimum, which moves no amount by
-    more than C."""
+    union size, 0), which _price_sites refuses unpriced when the set's own
+    floor is past it. So a set that prices at all becomes the best, and its
+    ops need no second pricing at b: within any budget c >= its cheapest
+    cost C the integer program has the same lex-smallest optimum, which
+    moves no amount by more than C."""
     start = graph.source_path.find(graph.source)
-    labels = [path.labels for path in graph.paths]
     union = _suffix_union_at(graph, s)
 
     def search(
@@ -571,9 +590,7 @@ def _set_search(
     ) -> Iterator[_Candidate]:
         for sites in tree_sites(graph, spt, slots):
             tick()
-            floor = _cost_floor(mode, _shortfalls(labels, sites))
-            top = cap(len(union(sites)), floor)
-            priced = None if top < 0 else _price_sites(graph, sites, start, mode, top, floor)
+            priced = _price_sites(graph, sites, start, mode, cap(len(union(sites)), 0))
             if priced is not None:
                 yield priced[1], priced[0], sites
 
@@ -591,12 +608,8 @@ def solve_xp_by_k(
     suffixes cover the most (ties: cheaper, then first seen), tree by tree
     (_best_tree, _set_search). limit_svss counts the sets of the trees
     searched, on affordable slots only (_affordable_slots)."""
-    _check_budget(b)
-    _require_source(graph, s)
-    slots = _affordable_slots(graph, b)
-    search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
-    trees = placed_trees(graph, 0, slots)
-    return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
+    tick = _counter(limit_svss, "switch-vertex-sets")
+    return _replayed(graph, s, _best_tree(graph, s, b, mode, _set_search, tick))
 
 
 def solve_fixed_spt(
@@ -618,23 +631,8 @@ def solve_fixed_spt(
     affordable slots (_affordable_slots), and none if the tree has no
     placement on them or its floor is past b (_best_tree).
     """
-    _check_budget(b)
-    _require_source(graph, s)
-    root = graph.source_path_id
-    mapping = dict(spt.parents)
-    if len(mapping) != len(spt.parents) or root in mapping:
-        raise ParameterError(f"tree must give each path one parent, none to the root (path {root})")
-    for child, parent in spt.parents:
-        if not (0 <= child < graph.k and 0 <= parent < graph.k):
-            raise ParameterError(f"tree edge {child}<-{parent} is off this graph")
-    if not _all_reach_root(mapping, root):
-        raise ParameterError(f"tree does not hang together under the source path (path {root})")
-
-    slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
-    search = _set_search(graph, s, mode, slots, _counter(limit_svss, "switch-vertex-sets"))
-    placed = earliest_sites(graph, spt, 0, slots)
-    trees = [] if placed is None else [(spt, placed)]
-    ops, cost, sites = _best_tree(graph, s, b, mode, slots, trees, search) or ((), 0, ())
+    tick = _counter(limit_svss, "switch-vertex-sets")
+    ops, cost, sites = _best_tree(graph, s, b, mode, _set_search, tick, spt) or ((), 0, ())
     reached = frozenset(_suffix_union_at(graph, s)(sites))
     return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
@@ -655,19 +653,17 @@ def solve_fpt_delay(
     splits are tried (_delay_search). limit_states caps the branches taken,
     one per child given a delay, counted as they are taken.
     """
-    _check_budget(b)
-    _require_source(graph, s)
-    slots = _affordable_slots(graph, b)
-    search = _delay_search(graph, s, slots, _counter(limit_states, "fpt-delay guesses"))
-    trees = placed_trees(graph, 0, slots)
-    return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, slots, trees, search))
+    tick = _counter(limit_states, "fpt-delay guesses")
+    return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, _delay_search, tick))
 
 
 def _delay_search(
-    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable, tick: Callable[[], None]
+    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
+    tick: Callable[[], None],
 ) -> Callable:
     """fpt-delay's search of one tree: each tight split within cap(bound, 0),
-    in lex order (by child), each branch taken a tick.
+    in lex order (by child), each branch taken a tick. b and mode go
+    unused: the search is delay mode's, and the cap bounds its spending.
 
     A child fits a slot after its parent's anchor iff its delay is at least
     the slot's tight delay t = max(0, sigma + carried), carried being the
@@ -732,7 +728,7 @@ def _delay_search(
         for _, (ops, cost, placed) in found:
             if cost <= cap(bound, 0):
                 # the fit test is the temporality condition
-                assert _all_temporal(_shifted_labels(graph, ops), placed)
+                assert _all_temporal(_labels_after(graph, ops), placed)
                 yield ops, cost, placed
 
     return search
@@ -746,8 +742,8 @@ class _Guess:
     arriving (via the parent's own op) at the edge leaving the parent for
     us; advance_total / advance_arriving the advance displacement of that
     same edge and the part of it propagated in from the right; backwash the
-    advance reaching our switch-in edge from our children; label_gap the
-    raw label difference the chosen switch vertex must have.
+    advance reaching our switch-in edge from our children; sigma the
+    shortfall (switch_slots) the chosen switch vertex must have.
     """
 
     delay: int
@@ -755,7 +751,7 @@ class _Guess:
     advance_total: int  # <= 0
     advance_arriving: int  # <= 0, advance_total minus our own op
     backwash: int  # <= 0
-    label_gap: int
+    sigma: int
 
 
 def solve_fpt_general(
@@ -779,9 +775,9 @@ def solve_fpt_general(
     The survivors are those of guessing everything and then laying out each
     complete guess, in the same order. A family whose layout fails cuts
     every completion: its placement depends only on its own guesses, its
-    parent's guess and the anchors placed before it. A child tries a label
-    gap only if some slot of that gap lies after its parent's anchor (known
-    by then, as families come root first): a batch member's slot lies at or
+    parent's guess and the anchors placed before it. A child tries a sigma
+    only if some slot of that sigma lies after its parent's anchor (known by
+    then, as families come root first): a batch member's slot lies at or
     after its head's, and the head's after the anchor. A child tries only its
     tight delay, the least that makes its switch temporal, and arriving
     advances and backwashes only down to minus the budget left
@@ -789,13 +785,8 @@ def solve_fpt_general(
     and delay mode's guesses do not grow with b. Every survivor is asserted
     temporal.
     """
-    _check_budget(b)
-    _require_source(graph, s)
-    slots = _affordable_slots(graph, b)
     tick = _counter(limit_states, "fpt-general guesses")
-    search = _general_search(graph, s, b, mode, slots, tick)
-    trees = placed_trees(graph, 0, slots)
-    return _replayed(graph, s, _best_tree(graph, s, b, mode, slots, trees, search))
+    return _replayed(graph, s, _best_tree(graph, s, b, mode, _general_search, tick))
 
 
 def _general_search(
@@ -805,15 +796,17 @@ def _general_search(
     """fpt-general's search of one tree: each sibling order and tight guess
     within cap(bound, 0), each a tick. Each search has its own state.
 
-    A child's guess is (delay, carried, arriving, total, wash, ell), in the
-    terms of _Guess, and its switch is temporal iff carried + total < ell +
-    delay + wash. Its tight delay is the least that satisfies this,
-    max(0, carried + total + 1 - ell - wash). A backwash reaches no delayed
-    edge and advance mode has no delays, so there the tight delay must be 0.
-    A child tries only its tight delay, and arriving and wash only down to
-    -left, left being the budget left; its guesses come in the lex order of
-    the six. That search has the same best as one over every delay within
-    left and every arriving and wash down to -b, in the same order:
+    A child's guess is (delay, carried, arriving, total, wash, sigma), in
+    the terms of _Guess, and its switch is temporal iff carried + total +
+    sigma <= delay + wash. Its tight delay is the least that satisfies
+    this, max(0, carried + total + sigma - wash). A backwash reaches no
+    delayed edge and advance mode has no delays, so there the tight delay
+    must be 0. A child tries only its tight delay, arriving and wash only
+    down to -left, left being the budget left, and only the sigmas of its
+    slots after its parent's anchor (solve_fpt_general); its guesses come
+    in the lex order of (delay, carried, arriving, total, wash, -sigma).
+    That search has the same best as one over every delay within left and
+    every arriving and wash down to -b, in the same order:
     - Only tight delays can win. Lowering a child's delay to its tight value
       keeps the child's slot, and each child below loses the same carried
       delay or drops to 0, which keeps every placement below or moves it
@@ -831,24 +824,25 @@ def _general_search(
     the cap.
     """
     src = graph.source_path_id
-    # per path pair: each label gap 1 - sigma, ascending, with its last slot's
-    # pos on the parent, the largest (a gap's slots come in parent order)
+    # per path pair: each sigma, descending, with its last slot's pos on the
+    # parent, the largest (one sigma's slots come in parent order)
     tops = {
-        pair: sorted({1 - sigma: pos_p for pos_p, _, sigma in at}.items())
+        pair: sorted({sigma: pos_p for pos_p, _, sigma in at}.items(), reverse=True)
         for pair, at in slots.items()
     }
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
 
     def tight_guesses(
-        left: int, ells: list[int], delay_cap: int, advance_cap: int, last: bool, has_kids: bool
+        left: int, sigmas: list[int], delay_cap: int, advance_cap: int, last: bool,
+        has_kids: bool,
     ) -> Iterator[tuple[int, int, int, int, int, int]]:
         # a child's tight guesses within left as (delay, carried, arriving,
-        # total, wash, ell), ascending: those with no delay as they come, the
-        # rest held back and sorted by delay (stable: the rest already
-        # ascend). A held-back guess has wash 0 and carried > 0 (then
-        # arriving = total = 0) or ell <= total <= arriving <= 0, so there
-        # are few of them however large left is
+        # total, wash, sigma), in the order above: those with no delay as
+        # they come, the rest held back and sorted by delay (stable: the rest
+        # already come in that order). A held-back guess has wash 0 and
+        # carried > 0 (then arriving = total = 0) or -sigma < total <=
+        # arriving <= 0, so there are few of them however large left is
         delayed = []
         for carried in range(delay_cap + 1):  # delay_cap is 0 in advance mode
             advanced = allow_advance and not carried  # a delayed edge takes no advance
@@ -859,21 +853,21 @@ def _general_search(
                 lowest = max(-b, arriving - left) if advanced else arriving
                 for total in range(lowest, min(arriving, advance_cap) + 1):
                     for wash in range(-left, 1) if allow_advance and has_kids else (0,):
-                        for ell in ells:
+                        for sigma in sigmas:
                             # the least delay making this switch temporal,
-                            # carried + total < ell + delay + wash, if above 0
-                            delay = carried + total + 1 - ell - wash
+                            # carried + total + sigma <= delay + wash, if above 0
+                            delay = carried + total + sigma - wash
                             if delay <= 0:
-                                yield 0, carried, arriving, total, wash, ell
+                                yield 0, carried, arriving, total, wash, sigma
                             elif allow_delay and not wash and delay + arriving - total <= left:
                                 # a backwash reaches no delayed edge
-                                delayed.append((delay, carried, arriving, total, wash, ell))
+                                delayed.append((delay, carried, arriving, total, wash, sigma))
         yield from sorted(delayed, key=itemgetter(0))
 
     def search(
         spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
     ) -> Iterator[_Candidate]:
-        # The search state, with chain and sigma set per sibling order below.
+        # The search state, with chain and order set per sibling order below.
         # extend takes back its sites on the way back; a path's guess and
         # anchor are always set on the current branch before they are read;
         # top is the cap, asked again after each candidate.
@@ -897,15 +891,15 @@ def _general_search(
                             net[key] = net.get(key, 0) + amount
                 ops = _canonical_ops(net)
                 # a laid-out guess replays temporal
-                assert _all_temporal(_shifted_labels(graph, ops), sites)
+                assert _all_temporal(_labels_after(graph, ops), sites)
                 yield ops, spent, tuple(sites)
                 top = cap(bound, 0)
                 return
             parent, child, idx = chain[i]
-            kids = sigma[parent]
+            kids = order[parent]
             after = anchor[parent]
-            ells = [ell for ell, top in tops[(parent, child)] if top > after]
-            if not ells:
+            sigmas = [sigma for sigma, pos_p in tops[(parent, child)] if pos_p > after]
+            if not sigmas:
                 return
             last = idx == len(kids) - 1
             if idx:
@@ -915,10 +909,10 @@ def _general_search(
                 delay_cap, advance_cap = assign[parent].delay, assign[parent].backwash
             else:
                 delay_cap = advance_cap = 0
-            guesses = tight_guesses(left, ells, delay_cap, advance_cap, last, child in sigma)
-            for delay, carried, arriving, total, wash, ell in guesses:
+            guesses = tight_guesses(left, sigmas, delay_cap, advance_cap, last, child in order)
+            for delay, carried, arriving, total, wash, sigma in guesses:
                 tick()
-                assign[child] = _Guess(delay, carried, total, arriving, wash, ell)
+                assign[child] = _Guess(delay, carried, total, arriving, wash, sigma)
                 placed = [] if not last else _place_chain(
                     graph, parent, kids, assign, slots, after, src
                 )
@@ -935,10 +929,10 @@ def _general_search(
             *(itertools.permutations(spt.children_of(p)) for p in parents_with_kids)
         )
         for ordering in orderings:
-            sigma = dict(zip(parents_with_kids, ordering))
+            order = dict(zip(parents_with_kids, ordering))
             chain = [
                 (parent, child, i)
-                for parent, kids in root_first(src, lambda p: sigma.get(p, ()))
+                for parent, kids in root_first(src, lambda p: order.get(p, ()))
                 for i, child in enumerate(kids)
             ]
             yield from extend(0, 0)
@@ -953,14 +947,14 @@ def _place_chain(
     """Earliest placement of one parent's children, honoring the couplings.
 
     after is the parent's anchor; the sites come in sibling order. Each kid
-    switches at a slot of its guessed label_gap, whose sigma is 1 - gap.
-    Between consecutive siblings the label gap must be at least (and, when
-    delay or advance is guessed to flow between them, exactly) what the
-    guessed displacements consume. Exactly-coupled runs move as one batch:
-    the head scans forward, the rest must hit their gap on the nose. The
-    scans take a pair's slots in child order, which within one gap is also
-    parent order: labels strictly rise along both paths, so shared vertices
-    in opposite orders differ in gap.
+    switches at a slot of its guessed sigma. Between consecutive siblings
+    the parent path's slack must be at least (and, when delay or advance is
+    guessed to flow between them, exactly) what the guessed displacements
+    consume. Exactly-coupled runs move as one batch: the head scans forward,
+    the rest must hit their slack on the nose. The scans take a pair's
+    slots in child order, which within one sigma is also parent order:
+    labels strictly rise along both paths, so shared vertices in opposite
+    orders differ in sigma.
     """
     ppath = graph.paths[parent]
     # the next head goes after lo, with at least need slack from edge ref
@@ -980,7 +974,7 @@ def _place_chain(
             j += 1
         for pos_p, pos_q, sigma in slots[(parent, kids[i])]:
             # (slack is never negative, so need <= 0 always holds)
-            if sigma != 1 - assign[kids[i]].label_gap or pos_p <= lo or (
+            if sigma != assign[kids[i]].sigma or pos_p <= lo or (
                 need > 0 and edge_gap(ppath, ref, pos_p - 1) < need
             ):
                 continue
@@ -991,7 +985,7 @@ def _place_chain(
                     (
                         (mp, mq)
                         for mp, mq, sigma in slots[(parent, member)]
-                        if sigma == 1 - assign[member].label_gap
+                        if sigma == assign[member].sigma
                         and mp >= cur and edge_gap(ppath, cur - 1, mp - 1) >= want
                     ),
                     None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex
+from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex, is_normalized
 from .solver_budgeted import DEFAULT_STATE_LIMIT, _counter
 from .switch_structures import (
     Site,
@@ -68,14 +68,12 @@ def solve_mrpt(
     Each tree grown counts against limit_states; the tree past it raises
     ResourceLimitError.
     """
-    heads = [p.path_id for p in paths if p.vertices and p.vertices[0] == s]
-    occurrences = sum(1 for p in paths for v in p.vertices if v == s)
-    if len(heads) != 1 or occurrences != 1:
+    src = next((p.path_id for p in paths if p.vertices[:1] == (s,)), 0)
+    graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
+    if not is_normalized(graph):
         raise InvalidInstanceError(
             f"source {s!r} must head exactly one path and appear nowhere else"
         )
-    src = heads[0]
-    graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
     union = _suffix_union_at(graph, s)
     tick = _counter(limit_states, "switch-path trees")
 

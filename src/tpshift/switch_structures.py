@@ -263,10 +263,11 @@ def switch_slots(
     (pos >= 1) and an edge out of it on the child (not its last vertex), in
     child order. sigma is the switch's shortfall, the least rise of its
     label gap that makes it temporal: the label into the vertex on the
-    parent, less the label out of it on the child, plus one. This is the
-    one place a slot's sigma is read off the labels, once per solve; which
-    slots there are does not depend on labels. Given pairs, only those
-    (parent, child) entries are built.
+    parent, less the label out of it on the child, plus one. The solvers
+    build the table once per solve and read each slot's sigma from it;
+    pricing one switch set reads its switches' sigmas off the labels once
+    more (_price_sites). Which slots there are does not depend on labels.
+    Given pairs, only those (parent, child) entries are built.
     """
     if pairs is None:
         pairs = [(p, c) for p in range(graph.k) for c in range(graph.k) if p != c]
@@ -398,10 +399,17 @@ def enumerate_svss(graph: TemporalKPathGraph) -> Iterator[SwitchVertexSet]:
     """Every valid switch-vertex-set of the graph, the empty one first.
 
     Label-agnostic: validity never looks at labels, so the stream is the
-    same for any labeling of the same footprints. Each set appears exactly
-    once because distinct trees yield distinct transition sets.
+    same for any labeling of the same footprints. The sets come tree by
+    tree in enumerate_spts's order (spt_rank), over the trees that place
+    (placed_trees): a tree has a valid set iff it has an earliest placement
+    (earliest_sites). Each set appears exactly once because distinct trees
+    yield distinct transition sets. With the source off its path there is
+    none, not even the empty set.
     """
+    start = graph.source_path.find(graph.source)
+    if start is None:
+        return
     slots = switch_slots(graph)
-    for spt in enumerate_spts(graph.k, include_partial=True, root=graph.source_path_id):
+    for spt, _ in sorted(placed_trees(graph, start, slots), key=lambda tree: spt_rank(tree[0])):
         for sites in tree_sites(graph, spt, slots):
             yield svs_at(graph, sites)

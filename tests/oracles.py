@@ -7,18 +7,19 @@ values frozen into tests were produced by these functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations, product
 
 from tpshift.graph_core import (
+    AddressingError,
     Mode,
     ShiftOperation,
     TemporalKPathGraph,
     ValidityError,
     Vertex,
-    apply_sequence,
     edge_gap,
     reach_set,
+    shift_labels,
 )
 from tpshift.ilp_mini import IlpInstance, IntVar, ge, le, solve_min, terms
 from tpshift.solver_budgeted import (
@@ -43,6 +44,46 @@ from tpshift.switch_structures import (
     suffix_union,
     svs_at,
 )
+
+
+def apply_shift_by_copy(graph: TemporalKPathGraph, op: ShiftOperation) -> TemporalKPathGraph:
+    """One op as a new graph: the op's path rebuilt by shift_labels, every
+    other path kept."""
+    path = graph.path(op.path_id)
+    if not 0 <= op.edge_index < path.edge_count():
+        raise AddressingError(f"path {op.path_id} has no edge {op.edge_index}")
+    paths = list(graph.paths)
+    paths[op.path_id] = replace(
+        path, labels=shift_labels(path.labels, op.edge_index, op.delta)
+    )
+    return replace(graph, paths=tuple(paths))
+
+
+def apply_sequence_by_shifts(graph: TemporalKPathGraph, ops) -> tuple[TemporalKPathGraph, int]:
+    """apply_sequence as a fold of apply_shift_by_copy, one graph per op:
+    (graph, total cost), or AddressingError at the first op that does not
+    address the graph. The brute-force oracles here replay with it."""
+    cost = 0
+    for op in ops:
+        graph = apply_shift_by_copy(graph, op)
+        cost += op.cost
+    return graph, cost
+
+
+def relabel_ops_by_copies(graph: TemporalKPathGraph, labels) -> tuple[ShiftOperation, ...]:
+    """The ops rewriting every label to the given target, left to right,
+    each op replayed on a copy of the graph before the next label is read."""
+    ops: list[ShiftOperation] = []
+    g = graph
+    for pid, targets in enumerate(labels):
+        for ei, t in enumerate(targets):
+            cur = g.paths[pid].labels[ei]
+            if cur != t:
+                op = ShiftOperation(pid, ei, t - cur)
+                ops.append(op)
+                g = apply_shift_by_copy(g, op)
+    assert all(g.paths[i].labels == tuple(labels[i]) for i in range(g.k))
+    return tuple(ops)
 
 
 def brute_reach(graph: TemporalKPathGraph, s: Vertex) -> set[Vertex]:
@@ -131,7 +172,7 @@ def best_by_unit_sequences(
     """
     best = (len(brute_reach(graph, s)), 0)
     for seq in iter_unit_sequences(graph, mode, b):
-        shifted, _ = apply_sequence(graph, seq)
+        shifted, _ = apply_sequence_by_shifts(graph, seq)
         size = len(brute_reach(shifted, s))
         cand = (size, len(seq))
         if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
@@ -167,7 +208,7 @@ def best_by_multisets(
             net[key] = net.get(key, 0) + unit[2]
         ops = _canonical_ops(net)
         cost = sum(abs(d) for d in net.values())
-        shifted, _ = apply_sequence(graph, ops)
+        shifted, _ = apply_sequence_by_shifts(graph, ops)
         reached = reach_set(shifted, s)
         score = (len(reached), -cost)
         if best is None or score > best:
@@ -186,7 +227,7 @@ def min_cost_for_svs_brute(
 
     for length in range(b + 1):
         for seq in product(_unit_ops(graph, mode), repeat=length):
-            shifted, _ = apply_sequence(graph, seq)
+            shifted, _ = apply_sequence_by_shifts(graph, seq)
             if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
                 return length
     return None
@@ -530,7 +571,7 @@ def priced_every_set(graph: TemporalKPathGraph, svss, mode: Mode, b: int):
 
 def _replayed(graph: TemporalKPathGraph, s: Vertex, best) -> BudgetedSolution:
     ops, cost, svs = best
-    shifted, _ = apply_sequence(graph, ops)
+    shifted, _ = apply_sequence_by_shifts(graph, ops)
     return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs)
 
 
@@ -567,7 +608,7 @@ def fpt_delay_candidates_by_product(
 
     Each child takes the first vertex of its path, found on the parent by a
     find scan after the parent's anchor, whose labels work out; every placed
-    guess is replayed with apply_sequence and must come out temporal.
+    guess is replayed with apply_sequence_by_shifts and must come out temporal.
     tight_only keeps only the splits in which each child's delay is the
     least that works out at the vertex it takes.
     """
@@ -611,7 +652,7 @@ def fpt_delay_candidates_by_product(
                 for child, pos_c, _ in sorted(placed)
                 if delay[child]
             )
-            shifted, cost = apply_sequence(graph, ops)
+            shifted, cost = apply_sequence_by_shifts(graph, ops)
             svs = make_svs(sw for _, _, sw in placed)
             assert all(is_temporal_switch(shifted, sw) for sw in svs.switches)
             yield ops, cost, svs
@@ -629,7 +670,7 @@ def fpt_general_survivors_by_scan(
 
     Complete guesses come from _guesses, are laid out with _lay_out on
     slots_by_gap_scan, and each laid-out guess is replayed with
-    apply_sequence and dropped unless every switch is temporal. tight_only
+    apply_sequence_by_shifts and dropped unless every switch is temporal. tight_only
     keeps only the guesses in which each child's delay is the least that
     makes its switch temporal.
     """
@@ -656,7 +697,7 @@ def fpt_general_survivors_by_scan(
                     continue
                 sites, ops, cost = outcome
                 svs = svs_at(graph, sites)
-                shifted, _ = apply_sequence(graph, ops)
+                shifted, _ = apply_sequence_by_shifts(graph, ops)
                 if all(is_temporal_switch(shifted, sw) for sw in svs.switches):
                     yield ops, cost, svs
 

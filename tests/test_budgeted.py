@@ -54,7 +54,6 @@ from tpshift.solver_budgeted import (
     _price_sites,
     _replayed_labels,
     _set_search,
-    _shortfalls,
     _tree_lows,
     min_cost_for_svs,
     net_vector_count,
@@ -119,7 +118,7 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
 def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT, slots=None):
     """(ops, cost, sites) for every tree and delay split that places; a tree
     with no placement has none, and no split of it is tried."""
-    search_on = partial(_delay_search, g, s)
+    search_on = partial(_delay_search, g, s, b, Mode.DELAY)
     return _unpruned(g, s, b, search_on, "fpt-delay guesses", limit, placed_only=True, slots=slots)
 
 
@@ -516,8 +515,7 @@ class TestPricingMatchesTheNamedModel:
                         for b in range(6):
                             want = min_cost_for_svs_by_names(g, svs, mode, b)
                             assert min_cost_for_svs(g, svs, mode, b) == want, (svs, mode, b)
-                            floor = _floor_of(g, svs, mode)
-                            got = _price_sites(g, sites, start, mode, b, floor)
+                            got = _price_sites(g, sites, start, mode, b)
                             assert got == want, (svs, mode, b)
 
 
@@ -1032,7 +1030,8 @@ class TestDelaySplits:
         seen = 0
         for g in graphs:
             slots = switch_slots(g)
-            search = _delay_search(g, "s", slots, _counter(DEFAULT_STATE_LIMIT, "fpt-delay"))
+            tick = _counter(DEFAULT_STATE_LIMIT, "fpt-delay")
+            search = _delay_search(g, "s", 4, Mode.DELAY, slots, tick)
             lows_of = _tree_lows(g, "s", slots)
             for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
                 if len(spt.parents) != parts:
@@ -1123,7 +1122,7 @@ class TestFptSolversSkipWhatCannotWin:
         slots = switch_slots(g)
         lows_of = _tree_lows(g, s, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
-        delay = _delay_search(g, s, slots, tick)
+        delay = _delay_search(g, s, b, Mode.DELAY, slots, tick)
         general = _general_search(g, s, b, mode, slots, tick)
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
             earliest, got = best_svs_for_spt(g, s, spt), _lows_or_none(g, s, spt, slots, lows_of)
@@ -1185,7 +1184,10 @@ def one_advance_serves_two():
 
 
 def _floor_of(g, svs, mode):
-    return _cost_floor(mode, _shortfalls([p.labels for p in g.paths], _sites_of(g, svs)))
+    """svs's _cost_floor, each switch's sigma read off the labels."""
+    labels = [p.labels for p in g.paths]
+    sigmas = [(p, c, labels[p][pp - 1] - labels[c][pc] + 1) for p, pp, c, pc in _sites_of(g, svs)]
+    return _cost_floor(mode, sigmas)
 
 
 class TestCostFloors:
@@ -1213,19 +1215,27 @@ class TestCostFloors:
 
     def test_delays_count_per_child(self, one_advance_serves_two, monkeypatch):
         # in delay mode each child pays its own shortfall: the set costs 2,
-        # its floor, so at b=1 it is skipped unpriced
+        # its floor, so at b=1 it is skipped with no program built
         g = one_advance_serves_two
         assert _floor_of(g, self.BOTH, Mode.DELAY) == 2
         assert min_cost_for_svs(g, self.BOTH, Mode.DELAY, 2)[0] == 2
         assert min_cost_for_svs(g, self.BOTH, Mode.DELAY, 1) is None
-        priced = []
-        real = solver_budgeted._price_sites
+        priced, programs = [], []
+        real_price, real_search = solver_budgeted._price_sites, solver_budgeted._lex_search
 
         def recording(graph, sites, *args):
-            priced.append(len(sites))
-            return real(graph, sites, *args)
+            built = len(programs)
+            got = real_price(graph, sites, *args)
+            if len(programs) > built:
+                priced.append(len(sites))
+            return got
+
+        def building(*args):
+            programs.append(args)
+            return real_search(*args)
 
         monkeypatch.setattr(solver_budgeted, "_price_sites", recording)
+        monkeypatch.setattr(solver_budgeted, "_lex_search", building)
         sol = solve_xp_by_k(g, "s", 1, Mode.DELAY)
         assert (sol.cost, len(sol.reached)) == (1, 4)
         assert 2 not in priced
@@ -1246,7 +1256,7 @@ class TestCostFloors:
         lows_of = _tree_lows(g, s, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
         searches = (
-            (_delay_search(g, s, slots, tick), Mode.DELAY),
+            (_delay_search(g, s, b, Mode.DELAY, slots, tick), Mode.DELAY),
             (_general_search(g, s, b, mode, slots, tick), mode),
         )
         lows = {}
@@ -1407,22 +1417,34 @@ class TestBestBoundFirst:
     @settings(max_examples=100, deadline=None)
     @given(_small_case(max_b=3), st.randoms(use_true_random=False))
     def test_the_winner_does_not_depend_on_the_tree_order(self, case, rnd):
+        # the tree source, placed_trees, patched to hand _best_tree the same
+        # trees in canonical, reversed and shuffled order
         g, s, b, mode = case
         slots = _affordable_slots(g, b)
-        tick = _counter(DEFAULT_STATE_LIMIT, "steps")
-        searches = {
-            "xp-k": (mode, lambda: _set_search(g, s, mode, slots, tick)),
-            "fpt-general": (mode, lambda: _general_search(g, s, b, mode, slots, tick)),
-            "fpt-delay": (Mode.DELAY, lambda: _delay_search(g, s, slots, tick)),
-        }
         trees = sorted(placed_trees(g, 0, slots), key=lambda tree: spt_rank(tree[0]))
         shuffled = trees[:]
         rnd.shuffle(shuffled)
+
+        def fed(order):
+            def tree_source(graph, start, got_slots):
+                assert (graph, start, got_slots) == (g, 0, slots)
+                return iter(order)
+
+            return tree_source
+
+        searches = {
+            "xp-k": (mode, _set_search),
+            "fpt-general": (mode, _general_search),
+            "fpt-delay": (Mode.DELAY, _delay_search),
+        }
         for algo, (search_mode, search_of) in searches.items():
-            want = _best_tree(g, s, b, search_mode, slots, trees, search_of())
-            for order in (trees[::-1], shuffled):
-                got = _best_tree(g, s, b, search_mode, slots, order, search_of())
-                assert got == want, algo
+            got = []
+            for order in (trees, trees[::-1], shuffled):
+                tick = _counter(DEFAULT_STATE_LIMIT, "steps")
+                with pytest.MonkeyPatch.context() as patched:
+                    patched.setattr(solver_budgeted, "placed_trees", fed(order))
+                    got.append(_best_tree(g, s, b, search_mode, search_of, tick))
+            assert got[1] == got[0] and got[2] == got[0], algo
 
 
 def _xp_k_then_fixed_spt(g, s, b, mode):

@@ -20,10 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_of, path
+from oracles import relabel_ops_by_copies
 from tpshift import cli
 from tpshift.cli import DOC_FORMAT, main
-from tpshift.graph_core import parse_instance, validate, write_instance
+from tpshift.graph_core import normalize_source, parse_instance, validate, write_instance
 from tpshift.instances import gen_random
+from tpshift.solver_unbounded import solve_mrpt
 
 I1_TEXT = """\
 kpathgraph v1
@@ -165,9 +167,12 @@ class TestSolve:
             )
             == 2
         )
-        assert (
-            main(["solve", str(i1_file), "--algo", "xp-b", "--budget", "-1"]) == 2
-        )
+        # a negative budget is each budgeted solver's own usage error
+        for args in ("xp-b", "xp-k", "fpt-delay --mode delay", "fpt-general",
+                     "fixed-spt --spt 1:0"):
+            argv = ["solve", str(i1_file), "--algo", *args.split(), "--budget", "-1"]
+            assert main(argv) == 2, args
+            assert "budget must be nonnegative, got -1" in capsys.readouterr().err, args
         assert main(["solve", str(tmp_path / "missing.kpg"), "--algo", "xp-b"]) == 2
 
     def test_unparseable_instance(self, tmp_path, capsys):
@@ -284,6 +289,16 @@ class TestSolve:
         assert "more than 1 switch-path trees" in capsys.readouterr().err
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "1")
         assert main(args) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 10**6), st.integers(0, 5))
+    def test_unbounded_relabels_as_the_per_op_copies(self, k, n, seed, at):
+        # _relabel_ops follows each path's label tuple; the reference replays
+        # every op on a copy of the graph before it reads the next label
+        g = gen_random(k, n, 12, 0.6, seed)
+        g = normalize_source(g, g.paths[0].vertices[at % n], 0)  # maybe mid-path
+        temp = solve_mrpt(g.paths, g.source)
+        assert cli._relabel_ops(g, temp.labels) == relabel_ops_by_copies(g, temp.labels)
 
     def test_state_limit_env(self, tmp_path, capsys, i1_file, monkeypatch):
         monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "5")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_of, path
-from oracles import brute_reach
+from oracles import apply_sequence_by_shifts, brute_reach
 from tpshift.graph_core import (
     NEG_INF,
     AddressingError,
@@ -157,7 +157,59 @@ class TestApplySequence:
 
     def test_empty_sequence(self, i1):
         out, cost = apply_sequence(i1, ())
-        assert out == i1 and cost == 0
+        assert out is i1 and cost == 0
+
+    def test_only_the_shifted_paths_are_rebuilt(self, i1):
+        out, _ = apply_sequence(i1, (ShiftOperation(1, 0, 2), ShiftOperation(1, 1, -1)))
+        assert out.paths[0] is i1.paths[0]
+        assert out.paths[1].labels == (1, 2)
+
+
+@st.composite
+def graphs_and_ops(draw):
+    """A gen_random graph and up to five ops with deltas from -6 to 6, about
+    three in four on one of the graph's edges, the rest on a path in
+    range(-1, k + 1) and an edge in range(-1, 5), which may be missing."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    g = gen_random(k, n, 12, 0.5, draw(st.integers(0, 10**6)))
+    delta = st.integers(-6, 6)
+    valid = st.builds(ShiftOperation, st.integers(0, k - 1), st.integers(0, n - 2), delta)
+    anywhere = st.builds(ShiftOperation, st.integers(-1, k), st.integers(-1, 4), delta)
+    return g, draw(st.lists(st.one_of(valid, valid, valid, anywhere), max_size=5))
+
+
+class TestApplySequenceMatchesTheShiftFold:
+    """apply_sequence builds one graph per replay; the reference folds one
+    apply_shift per op (tests/oracles.py). They must agree op for op."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_ops())
+    def test_same_graph_and_cost_or_the_same_error_at_the_same_op(self, case):
+        g, ops = case
+        try:
+            want = apply_sequence_by_shifts(g, ops)
+        except AddressingError as exc:
+            # the first op the reference cannot replay
+            bad = next(i for i in range(len(ops)) if _fails(g, ops[: i + 1]))
+            with pytest.raises(AddressingError) as got:
+                apply_sequence(g, ops)
+            assert str(got.value) == str(exc)
+            assert apply_sequence(g, ops[:bad]) == apply_sequence_by_shifts(g, ops[:bad])
+            with pytest.raises(AddressingError) as got:
+                apply_sequence(g, ops[: bad + 1])
+            assert str(got.value) == str(exc)
+        else:
+            assert apply_sequence(g, ops) == want
+            if len(ops) == 1:
+                assert apply_shift(g, ops[0]) == want[0]
+
+
+def _fails(g, ops):
+    try:
+        apply_sequence_by_shifts(g, ops)
+    except AddressingError:
+        return True
+    return False
 
 
 class TestSlackAndGap:

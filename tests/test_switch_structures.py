@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain, combinations
 
 import pytest
@@ -347,6 +348,21 @@ class TestEnumerateSvss:
             g = gen_random(3, 3, 9, 0.7, seed=900 + seed)
         for svs in enumerate_svss(g):
             assert is_valid_svs(g, svs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_mid_path_source_streams_as_the_filtered_product(self, seed):
+        # trees are placed from the source's own position on its path, so
+        # a later source keeps only the sets that switch off after it
+        g = gen_random(3 + seed % 2, 5, 12, 0.7, seed=1400 + seed)
+        mid = replace(g, source=g.paths[0].vertices[1 + seed % 3])
+        got = list(enumerate_svss(mid))
+        assert got == list(enumerate_svss_by_filtering(mid))
+        assert set(got) <= set(enumerate_svss(g))
+
+    def test_a_source_off_its_path_has_no_sets(self):
+        # s is on path 1 only, so path 0 cannot be boarded at all
+        g = graph_of(path(0, "a b c", [1, 2]), path(1, "s b d", [0, 3]))
+        assert list(enumerate_svss(g)) == [] == list(enumerate_svss_by_filtering(g))
 
 
 def _positions(slots):
