@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -104,9 +105,8 @@ def _load_instance(path: str) -> tuple[TemporalKPathGraph, str]:
     return graph, _sha256_hex(data)
 
 
-def _state_limit(args: argparse.Namespace) -> int | None:
-    """--limit-states, else TPSHIFT_LIMIT_STATES, else None; never negative."""
-    limit = args.limit_states
+def _state_limit(limit: int | None) -> int | None:
+    """limit (--limit-states), else TPSHIFT_LIMIT_STATES, else None; never negative."""
     if limit is None:
         env = os.environ.get("TPSHIFT_LIMIT_STATES")
         if env is None:
@@ -226,7 +226,7 @@ def _doc(
 def cmd_solve(args: argparse.Namespace) -> int:
     graph, sha = _load_instance(args.instance)
     started = time.perf_counter()
-    limit = _state_limit(args)
+    limit = _state_limit(args.limit_states)
     state_limit = DEFAULT_STATE_LIMIT if limit is None else limit
     if args.algo == "unbounded":
         g = normalize_source(graph, graph.source, 0)
@@ -407,14 +407,42 @@ def cmd_gen_mcis(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spt_count(k: int, partial: bool, limit: int) -> int:
+    """How many trees enum spt yields, counted up front; past limit, a
+    ResourceLimitError, raised before any count grows much past limit.
+
+    At a fixed root, the trees spanning it and m other paths number
+    (m + 1)^(m - 1) (Cayley's formula), one for m = 0. enum spt yields those
+    with m = k - 1, and with --partial those of every m, over C(k - 1, m)
+    choices of the other paths.
+    """
+    total = 0
+    for m in range(0 if partial else k - 1, k):
+        term = math.comb(k - 1, m)
+        for _ in range(m - 1):
+            if term > limit:
+                break
+            term *= m + 1
+        total += term
+        if total > limit:
+            raise ResourceLimitError(
+                f"more than {limit} switch-path trees; raise TPSHIFT_LIMIT_STATES"
+            )
+    return total
+
+
 def cmd_enum(args: argparse.Namespace) -> int:
     """Print each tree or switch set with --list, then how many there are.
 
-    Switch sets are those of the source-normalized instance, the graph that
-    solve searches and its witnesses name."""
+    Trees are counted up front against TPSHIFT_LIMIT_STATES, else
+    DEFAULT_STATE_LIMIT (_spt_count), so a large k exits 4 at once. Switch
+    sets are those of the source-normalized instance, the graph that solve
+    searches and its witnesses name."""
     if args.what == "spt":
         if args.k < 1:
             raise ParameterError(f"need k >= 1, got {args.k}")
+        limit = _state_limit(None)
+        _spt_count(args.k, args.partial, DEFAULT_STATE_LIMIT if limit is None else limit)
         items, text = enumerate_spts(args.k, include_partial=args.partial), _spt_text
     else:
         graph = _load_instance(args.instance)[0]

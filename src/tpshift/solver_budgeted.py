@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import (
     AddressingError,
@@ -262,10 +262,12 @@ def _price_sites(
 
     sites come sorted by child, as tree_sites yields them, the d variables'
     order; start is the source's position on its path. The program is built
-    on variable indices, declared in the order d, a, pd/h, m/u, e (see
-    below), zero coefficients dropped, and the lexicographic search returns
-    its lex-smallest optimum in that order. Ops are read from d and a alone,
-    which come first, so the order among the others cannot change them.
+    on variable indices in one pass over the off paths, declared in the
+    order d, a, then per path its pd/h, m/u and e (see below) among that
+    path's rows, zero coefficients dropped, and the lexicographic search
+    returns its lex-smallest optimum in that order. Ops are read from d and
+    a alone, which come first, so the order among the others cannot change
+    them.
 
     Each switch's shortfall sigma (switch_slots) is read off the labels
     once, here: its row's room is -sigma, and the set's floor is
@@ -311,17 +313,6 @@ def _price_sites(
     # d[q]: delay on q's switch-in edge; a[p, pos]: advance on the edge into pos
     d = {q: var(b) for _, _, q, _ in sites} if allow_delay else {}
     a = {(p, pos): var(b) for p in off_paths for pos in offs[p]} if allow_advance else {}
-    pd, h, m, u, e = {}, {}, {}, {}, {}
-    for p in off_paths:
-        if allow_delay and p != src:
-            for pos in offs[p]:  # propagated delay at the edge into pos
-                pd[p, pos], h[p, pos] = var(b), var(1)
-        if allow_advance:
-            for pos in offs[p][:-1]:  # advance dragged in from later edges
-                m[p, pos], u[p, pos] = var(b), var(1)
-            if p != src:  # advance dragged back onto the switch-in edge
-                e[p] = var(b)
-
     rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
 
     def le(pairs: list[tuple[int, int]], rhs: int) -> None:
@@ -330,22 +321,24 @@ def _price_sites(
     def ge(pairs: list[tuple[int, int]], rhs: int) -> None:
         le([(j, -c) for j, c in pairs], -rhs)
 
+    pd, h, m, u, e = {}, {}, {}, {}, {}
     for p in off_paths:
-        path = graph.paths[p]
-        positions = offs[p]
+        path, positions = graph.paths[p], offs[p]
         r = len(positions)
         has_delay = allow_delay and p != src
         if has_delay:
-            # propagated delay at the edge into each off vertex:
+            # pd: propagated delay at the edge into each off vertex,
             # exactly max(0, own delay - slack from the switch-in edge)
             for pos in positions:
                 c = edge_gap(path, anchor[p], pos - 1)
-                dv, hv = pd[p, pos], h[p, pos]
+                dv, hv = pd[p, pos], h[p, pos] = var(b), var(1)
                 ge([(dv, 1), (d[p], -1)], -c)
                 le([(dv, 1), (hv, -b)], 0)
                 le([(dv, 1), (d[p], -1), (hv, c)], 0)
         if allow_advance:
-            # advance dragged backwards from the next off edge:
+            for pos in positions[:-1]:  # advance dragged in from later edges
+                m[p, pos], u[p, pos] = var(b), var(1)
+            # m: advance dragged backwards from the next off edge,
             # exactly max(0, arriving advance - remaining gap)
             for i in range(r - 1):
                 pos, nxt = positions[i], positions[i + 1]
@@ -361,7 +354,7 @@ def _price_sites(
             if p != src:
                 # backwash onto the switch-in edge; a lower bound suffices
                 # because it only ever tightens temporality
-                pos1 = positions[0]
+                e[p], pos1 = var(b), positions[0]
                 expr = [(e[p], 1), (a[p, pos1], -1)]
                 if r > 1:
                     expr.append((m[p, pos1], -1))
@@ -452,23 +445,24 @@ def _best_tree(
     source path, each a ParameterError), if it places (earliest_sites), its
     slots built for its own edges only.
 
-    search_of(graph, s, b, mode, slots, tick) builds the per-tree search,
-    tick being its counter (_counter). That search(spt, lows, bound, cap)
-    yields a tree's candidates (ops, cost, sites) in a fixed order, each
-    within b, given the tree's edges as (parent, child, low) (_tree_lows),
-    parents before children, and its bound. It asks cap(reach, floor) for
-    the most a candidate of that reach, costing at least floor, may cost
-    and still win: b above the best reach; at the best reach, the best cost
-    in a tree ranked before the best's and one below it otherwise; -1 below
-    the best reach or when floor is past that. The answer moves only when
-    search yields, so a search may keep it between yields. A candidate wins
-    iff its cost is at most cap(its reach, 0).
+    search_of(graph, b, mode, slots, tick) builds the per-tree search, tick
+    being its counter (_counter). s is graph.source from here on, at
+    position 0 of the source path, where every search anchors that path.
+    That search(spt, lows, bound, cap) yields a tree's candidates (ops,
+    cost, sites) in a fixed order, each within b, given the tree's edges as
+    (parent, child, low) (_tree_lows), parents before children, and its
+    bound. It asks cap(reach) for the most a candidate of that reach may
+    cost and still win: b above the best reach; at the best reach, the best
+    cost in a tree ranked before the best's and one below it otherwise; -1
+    below the best reach. The answer moves only when search yields, so a
+    search may keep it between yields. A candidate wins iff its cost is at
+    most cap(its reach), and every candidate is checked to replay temporal
+    (_all_temporal of _labels_after its ops), whichever search made it.
 
     Trees go best bound first, bound being the suffix union size of a
     tree's earliest placement, ties in canonical order. The loop stops at
     the first tree whose bound is below the best reach, and searches a tree
-    only if cap(bound, floor) is not -1, floor being _cost_floor of its
-    lows.
+    only if its floor, _cost_floor of its lows, is at most cap(bound).
     - Bound: no candidate covers more. tree_sites and both FPT searches put
       each child's switch strictly after its parent's anchor, so root first
       every anchor is at or after the earliest one (earliest_sites).
@@ -503,9 +497,9 @@ def _best_tree(
         slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
         placed = earliest_sites(graph, spt, 0, slots)
         trees = [] if placed is None else [(spt, placed)]
-    search = search_of(graph, s, b, mode, slots, tick)
+    search = search_of(graph, b, mode, slots, tick)
     union = _suffix_union_at(graph, s)
-    lows_of = _tree_lows(graph, s, slots)
+    lows_of = _tree_lows(graph, slots)
     ranked = sorted(
         ((-len(union(sites)), spt_rank(spt), spt, sites) for spt, sites in trees),
         key=itemgetter(0, 1),
@@ -513,23 +507,22 @@ def _best_tree(
     best: _Candidate | None = None
     best_reach, best_cost, best_rank = -1, 0, None
 
-    def cap(reach: int, floor: int) -> int:  # rank: the tree being searched
+    def cap(reach: int) -> int:  # rank: the tree being searched
         if reach == best_reach:
-            top = best_cost if rank < best_rank else best_cost - 1
-        else:
-            top = b if reach > best_reach else -1
-        return top if floor <= top else -1
+            return best_cost if rank < best_rank else best_cost - 1
+        return b if reach > best_reach else -1
 
     for minus_bound, rank, spt, placed in ranked:
         bound = -minus_bound
         if bound < best_reach:
             break  # so is every tree after it
         lows = lows_of(placed)
-        if cap(bound, _cost_floor(mode, lows)) < 0:
+        if _cost_floor(mode, lows) > cap(bound):
             continue
         for ops, cost, sites in search(spt, lows, bound, cap):
+            assert _all_temporal(_labels_after(graph, ops), sites)
             reach = len(union(sites))
-            if cost <= cap(reach, 0):
+            if cost <= cap(reach):
                 best, best_reach, best_cost, best_rank = (ops, cost, sites), reach, cost, rank
                 if reach == bound and cost == 0:
                     break
@@ -537,7 +530,7 @@ def _best_tree(
 
 
 def _tree_lows(
-    graph: TemporalKPathGraph, s: Vertex, slots: SlotTable
+    graph: TemporalKPathGraph, slots: SlotTable
 ) -> Callable[[Sequence[Site]], list[tuple[int, int, int]]]:
     """lows_of(sites): each edge of a tree as (parent, child, low), in the
     order of sites, the tree's earliest placement on slots (placed_trees).
@@ -551,10 +544,10 @@ def _tree_lows(
     lows are those of the slots a candidate within b can use: later and
     higher than on the full table.
     """
-    src, start = graph.source_path_id, graph.source_path.find(s)
+    src = graph.source_path_id
 
     def lows_of(sites: Sequence[Site]) -> list[tuple[int, int, int]]:
-        anchor = {src: start, **{c: pos_c for _, _, c, pos_c in sites}}
+        anchor = {src: 0, **{c: pos_c for _, _, c, pos_c in sites}}
         return [
             (p, c, min(sigma for pos_p, _, sigma in slots[(p, c)] if pos_p > anchor[p]))
             for p, _, c, _ in sites
@@ -563,34 +556,34 @@ def _tree_lows(
     return lows_of
 
 
-def _replayed(graph: TemporalKPathGraph, s: Vertex, best: _Candidate | None) -> BudgetedSolution:
+def _replayed(graph: TemporalKPathGraph, best: _Candidate | None) -> BudgetedSolution:
     """The winning candidate, reporting the full reach of the graph it shifts."""
     assert best is not None  # the empty switch set is always a candidate
     ops, cost, sites = best
     shifted, _ = apply_sequence(graph, ops)
-    return BudgetedSolution(ops, cost, frozenset(reach_set(shifted, s)), svs_at(graph, sites))
+    reached = frozenset(reach_set(shifted, graph.source))
+    return BudgetedSolution(ops, cost, reached, svs_at(graph, sites))
 
 
 def _set_search(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
-    tick: Callable[[], None],
+    graph: TemporalKPathGraph, b: int, mode: Mode, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
     """xp-k's and fixed-spt's search of one tree: each of its valid switch
     sets (tree_sites), each a tick, priced exactly within cap(its own suffix
-    union size, 0), which _price_sites refuses unpriced when the set's own
+    union size), which _price_sites refuses unpriced when the set's own
     floor is past it. So a set that prices at all becomes the best, and its
     ops need no second pricing at b: within any budget c >= its cheapest
     cost C the integer program has the same lex-smallest optimum, which
-    moves no amount by more than C."""
-    start = graph.source_path.find(graph.source)
-    union = _suffix_union_at(graph, s)
+    moves no amount by more than C. The source sits at position 0 of its
+    path (_best_tree)."""
+    union = _suffix_union_at(graph, graph.source)
 
     def search(
         spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
     ) -> Iterator[_Candidate]:
         for sites in tree_sites(graph, spt, slots):
             tick()
-            priced = _price_sites(graph, sites, start, mode, cap(len(union(sites)), 0))
+            priced = _price_sites(graph, sites, 0, mode, cap(len(union(sites))))
             if priced is not None:
                 yield priced[1], priced[0], sites
 
@@ -609,7 +602,7 @@ def solve_xp_by_k(
     (_best_tree, _set_search). limit_svss counts the sets of the trees
     searched, on affordable slots only (_affordable_slots)."""
     tick = _counter(limit_svss, "switch-vertex-sets")
-    return _replayed(graph, s, _best_tree(graph, s, b, mode, _set_search, tick))
+    return _replayed(graph, _best_tree(graph, s, b, mode, _set_search, tick))
 
 
 def solve_fixed_spt(
@@ -654,14 +647,13 @@ def solve_fpt_delay(
     one per child given a delay, counted as they are taken.
     """
     tick = _counter(limit_states, "fpt-delay guesses")
-    return _replayed(graph, s, _best_tree(graph, s, b, Mode.DELAY, _delay_search, tick))
+    return _replayed(graph, _best_tree(graph, s, b, Mode.DELAY, _delay_search, tick))
 
 
 def _delay_search(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
-    tick: Callable[[], None],
+    graph: TemporalKPathGraph, b: int, mode: Mode, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
-    """fpt-delay's search of one tree: each tight split within cap(bound, 0),
+    """fpt-delay's search of one tree: each tight split within cap(bound),
     in lex order (by child), each branch taken a tick. b and mode go
     unused: the search is delay mode's, and the cap bounds its spending.
 
@@ -684,20 +676,19 @@ def _delay_search(
     The tight splits are generated root first, children in lows order
     (parents first): a child branches on each record low of t along its
     slots after its parent's anchor, placed at the slot reaching it, the
-    first that fits that delay. A branch whose delays pass cap(bound, 0)
-    is not taken; nothing in the loops depends on the budget. The complete
+    first that fits that delay. A branch whose delays pass cap(bound) is
+    not taken; nothing in the loops depends on the budget. The complete
     splits are then yielded in lex order, each only if it is still within
-    cap(bound, 0) at its turn.
+    cap(bound) at its turn.
     """
     src = graph.source_path_id
-    pos_s = graph.source_path.find(s)
 
     def search(
         spt: SwitchPathTree, lows: Sequence[tuple[int, int, int]], bound: int, cap: Callable
     ) -> Iterator[_Candidate]:
         children = [child for child, _ in spt.parents]
-        top = cap(bound, 0)
-        delay, anchor = {src: 0}, {src: pos_s}
+        top = cap(bound)
+        delay, anchor = {src: 0}, {src: 0}
         sites: list[Site] = []
         found: list[tuple[tuple[int, ...], _Candidate]] = []  # (split, candidate)
 
@@ -725,31 +716,31 @@ def _delay_search(
 
         grow(0, 0)
         found.sort(key=itemgetter(0))
-        for _, (ops, cost, placed) in found:
-            if cost <= cap(bound, 0):
-                # the fit test is the temporality condition
-                assert _all_temporal(_labels_after(graph, ops), placed)
-                yield ops, cost, placed
+        for _, candidate in found:
+            if candidate[1] <= cap(bound):
+                yield candidate
 
     return search
 
 
-@dataclass(slots=True)  # built once per guess; slots make that cheap
-class _Guess:
+class _Guess(NamedTuple):
     """Per-path displacement guess for the general search, in the final labeling.
 
     delay is the op on this path's switch-in edge; carried_delay the delay
     arriving (via the parent's own op) at the edge leaving the parent for
-    us; advance_total / advance_arriving the advance displacement of that
-    same edge and the part of it propagated in from the right; backwash the
-    advance reaching our switch-in edge from our children; sigma the
-    shortfall (switch_slots) the chosen switch vertex must have.
+    us; advance_arriving / advance_total the part of that same edge's
+    advance displacement propagated in from the right, and all of it;
+    backwash the advance reaching our switch-in edge from our children;
+    sigma the shortfall (switch_slots) the chosen switch vertex must have.
+    The fields come in the order tight_guesses tries them (_general_search),
+    which builds each guess once. The source path's guess is all zeros: no
+    op on it, and nothing carried, advanced or washed onto its first child.
     """
 
     delay: int
     carried_delay: int
-    advance_total: int  # <= 0
     advance_arriving: int  # <= 0, advance_total minus our own op
+    advance_total: int  # <= 0
     backwash: int  # <= 0
     sigma: int
 
@@ -782,29 +773,27 @@ def solve_fpt_general(
     tight delay, the least that makes its switch temporal, and arriving
     advances and backwashes only down to minus the budget left
     (_general_search): so no delay that is not tight is guessed or counted,
-    and delay mode's guesses do not grow with b. Every survivor is asserted
-    temporal.
+    and delay mode's guesses do not grow with b.
     """
     tick = _counter(limit_states, "fpt-general guesses")
-    return _replayed(graph, s, _best_tree(graph, s, b, mode, _general_search, tick))
+    return _replayed(graph, _best_tree(graph, s, b, mode, _general_search, tick))
 
 
 def _general_search(
-    graph: TemporalKPathGraph, s: Vertex, b: int, mode: Mode, slots: SlotTable,
-    tick: Callable[[], None],
+    graph: TemporalKPathGraph, b: int, mode: Mode, slots: SlotTable, tick: Callable[[], None]
 ) -> Callable:
     """fpt-general's search of one tree: each sibling order and tight guess
-    within cap(bound, 0), each a tick. Each search has its own state.
+    within cap(bound), each a tick. Each search has its own state.
 
-    A child's guess is (delay, carried, arriving, total, wash, sigma), in
-    the terms of _Guess, and its switch is temporal iff carried + total +
-    sigma <= delay + wash. Its tight delay is the least that satisfies
-    this, max(0, carried + total + sigma - wash). A backwash reaches no
-    delayed edge and advance mode has no delays, so there the tight delay
-    must be 0. A child tries only its tight delay, arriving and wash only
-    down to -left, left being the budget left, and only the sigmas of its
-    slots after its parent's anchor (solve_fpt_general); its guesses come
-    in the lex order of (delay, carried, arriving, total, wash, -sigma).
+    A child's guess is a _Guess (delay, carried, arriving, total, wash,
+    sigma), and its switch is temporal iff carried + total + sigma <=
+    delay + wash. Its tight delay is the least that satisfies this, max(0,
+    carried + total + sigma - wash). A backwash reaches no delayed edge and
+    advance mode has no delays, so there the tight delay must be 0. A child
+    tries only its tight delay, arriving and wash only down to -left, left
+    being the budget left, and only the sigmas of its slots after its
+    parent's anchor (solve_fpt_general); its guesses come in the lex order
+    of (delay, carried, arriving, total, wash, -sigma).
     That search has the same best as one over every delay within left and
     every arriving and wash down to -b, in the same order:
     - Only tight delays can win. Lowering a child's delay to its tight value
@@ -836,13 +825,13 @@ def _general_search(
     def tight_guesses(
         left: int, sigmas: list[int], delay_cap: int, advance_cap: int, last: bool,
         has_kids: bool,
-    ) -> Iterator[tuple[int, int, int, int, int, int]]:
-        # a child's tight guesses within left as (delay, carried, arriving,
-        # total, wash, sigma), in the order above: those with no delay as
-        # they come, the rest held back and sorted by delay (stable: the rest
-        # already come in that order). A held-back guess has wash 0 and
-        # carried > 0 (then arriving = total = 0) or -sigma < total <=
-        # arriving <= 0, so there are few of them however large left is
+    ) -> Iterator[_Guess]:
+        # a child's tight guesses within left, in the order above: those
+        # with no delay as they come, the rest held back and sorted by delay
+        # (stable: the rest already come in that order). A held-back guess
+        # has wash 0 and carried > 0 (then arriving = total = 0) or -sigma <
+        # total <= arriving <= 0, so there are few of them however large
+        # left is
         delayed = []
         for carried in range(delay_cap + 1):  # delay_cap is 0 in advance mode
             advanced = allow_advance and not carried  # a delayed edge takes no advance
@@ -858,10 +847,10 @@ def _general_search(
                             # carried + total + sigma <= delay + wash, if above 0
                             delay = carried + total + sigma - wash
                             if delay <= 0:
-                                yield 0, carried, arriving, total, wash, sigma
+                                yield _Guess(0, carried, arriving, total, wash, sigma)
                             elif allow_delay and not wash and delay + arriving - total <= left:
                                 # a backwash reaches no delayed edge
-                                delayed.append((delay, carried, arriving, total, wash, sigma))
+                                delayed.append(_Guess(delay, carried, arriving, total, wash, sigma))
         yield from sorted(delayed, key=itemgetter(0))
 
     def search(
@@ -871,10 +860,10 @@ def _general_search(
         # extend takes back its sites on the way back; a path's guess and
         # anchor are always set on the current branch before they are read;
         # top is the cap, asked again after each candidate.
-        anchor = {src: graph.source_path.find(s)}
-        assign: dict[int, _Guess] = {}
+        anchor = {src: 0}
+        assign = {src: _Guess(0, 0, 0, 0, 0, 0)}
         sites: list[Site] = []
-        top = cap(bound, 0)
+        top = cap(bound)
 
         def extend(i: int, spent: int) -> Iterator[_Candidate]:
             nonlocal top
@@ -889,11 +878,8 @@ def _general_search(
                     for key, amount in ((c, pos_c), g.delay), ((p, pos_p - 1), own):
                         if amount:
                             net[key] = net.get(key, 0) + amount
-                ops = _canonical_ops(net)
-                # a laid-out guess replays temporal
-                assert _all_temporal(_labels_after(graph, ops), sites)
-                yield ops, spent, tuple(sites)
-                top = cap(bound, 0)
+                yield _canonical_ops(net), spent, tuple(sites)
+                top = cap(bound)
                 return
             parent, child, idx = chain[i]
             kids = order[parent]
@@ -905,14 +891,12 @@ def _general_search(
             if idx:
                 prev = assign[kids[idx - 1]]
                 delay_cap, advance_cap = prev.carried_delay, prev.advance_arriving
-            elif parent != src:
-                delay_cap, advance_cap = assign[parent].delay, assign[parent].backwash
             else:
-                delay_cap = advance_cap = 0
+                delay_cap, advance_cap = assign[parent].delay, assign[parent].backwash
             guesses = tight_guesses(left, sigmas, delay_cap, advance_cap, last, child in order)
-            for delay, carried, arriving, total, wash, sigma in guesses:
+            for guess in guesses:
                 tick()
-                assign[child] = _Guess(delay, carried, total, arriving, wash, sigma)
+                assign[child] = guess
                 placed = [] if not last else _place_chain(
                     graph, parent, kids, assign, slots, after, src
                 )
@@ -921,7 +905,8 @@ def _general_search(
                 for _, _, kid, pos_q in placed:
                     anchor[kid] = pos_q
                 sites.extend(placed)
-                yield from extend(i + 1, spent + delay + (arriving - total))
+                cost = guess.delay + guess.advance_arriving - guess.advance_total  # own ops
+                yield from extend(i + 1, spent + cost)
                 del sites[len(sites) - len(placed) :]
 
         parents_with_kids = sorted({parent for _, parent in spt.parents})

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import BasePath, InvalidInstanceError, TemporalKPathGraph, Vertex, is_normalized
-from .solver_budgeted import DEFAULT_STATE_LIMIT, _counter
+from .graph_core import BasePath, TemporalKPathGraph, Vertex
+from .solver_budgeted import DEFAULT_STATE_LIMIT, _counter, _require_source
 from .switch_structures import (
     Site,
     SwitchPathTree,
@@ -70,10 +70,7 @@ def solve_mrpt(
     """
     src = next((p.path_id for p in paths if p.vertices[:1] == (s,)), 0)
     graph = TemporalKPathGraph(len(paths), tuple(paths), s, src)
-    if not is_normalized(graph):
-        raise InvalidInstanceError(
-            f"source {s!r} must head exactly one path and appear nowhere else"
-        )
+    _require_source(graph, s)
     union = _suffix_union_at(graph, s)
     tick = _counter(limit_states, "switch-path trees")
 

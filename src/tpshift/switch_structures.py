@@ -358,18 +358,17 @@ def tree_sites(
 ) -> Iterator[tuple[Site, ...]]:
     """Sites of every valid switch-vertex-set whose transitions are spt's edges.
 
-    spt must be a tree under the source path; slots is switch_slots(graph),
-    or that table less some slots, whose sets then go too. Each set's sites
-    come sorted by child. Edges are filled in sorted order from their slots,
-    so sets come in the order of the candidates' Cartesian product; a choice
-    that breaks "off strictly after on" with a chosen neighbour is cut at
-    once.
+    spt must be a tree under the source path, and graph.source must lie on
+    that path, where it anchors it: enumerate_svss checks this first, and
+    _best_tree (_require_source) does before xp-k's and fixed-spt's search
+    call here. slots is switch_slots(graph), or that table less some slots,
+    whose sets then go too. Each set's sites come sorted by child. Edges are
+    filled in sorted order from their slots, so sets come in the order of
+    the candidates' Cartesian product; a choice that breaks "off strictly
+    after on" with a chosen neighbour is cut at once.
     """
     src, edges = graph.source_path_id, spt.parents
-    start = graph.paths[src].find(graph.source)
-    if start is None:
-        return  # with s off its path not even the empty set is valid
-    anchor = {src: start}  # where each chosen path is boarded
+    anchor = {src: graph.source_path.find(graph.source)}  # where each chosen path is boarded
     per_edge = [
         [(parent, pf, child, pt) for pf, pt, _ in slots[(parent, child)]]
         for child, parent in edges

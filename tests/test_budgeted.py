@@ -89,7 +89,7 @@ def _searched(search, spt, lows, b):
     """Every candidate of a per-tree search of spt at cap b, none skipped,
     lows being the tree's edges from _tree_lows: the search without
     _best_tree. A tree with no placement is searched with lows None."""
-    return list(search(spt, lows, None, lambda reach, floor: b))
+    return list(search(spt, lows, None, lambda reach: b))
 
 
 def _lows_or_none(g, s, spt, slots, lows_of):
@@ -105,7 +105,7 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
     placement, which _best_tree never searches. slots defaults to every
     slot, switch_slots(g)."""
     slots = switch_slots(g) if slots is None else slots
-    search, lows_of = search_on(slots, _counter(limit, what)), _tree_lows(g, s, slots)
+    search, lows_of = search_on(slots, _counter(limit, what)), _tree_lows(g, slots)
     trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
     return [
         candidate
@@ -118,13 +118,13 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
 def _delay_guesses(g, s, b, limit=DEFAULT_STATE_LIMIT, slots=None):
     """(ops, cost, sites) for every tree and delay split that places; a tree
     with no placement has none, and no split of it is tried."""
-    search_on = partial(_delay_search, g, s, b, Mode.DELAY)
+    search_on = partial(_delay_search, g, b, Mode.DELAY)
     return _unpruned(g, s, b, search_on, "fpt-delay guesses", limit, placed_only=True, slots=slots)
 
 
 def _general_survivors(g, s, b, mode, limit=DEFAULT_STATE_LIMIT, slots=None):
     """(ops, cost, sites) for every fpt-general guess that lays out."""
-    search_on = partial(_general_search, g, s, b, mode)
+    search_on = partial(_general_search, g, b, mode)
     what = "fpt-general guesses"
     return _unpruned(g, s, b, search_on, what, limit, placed_only=False, slots=slots)
 
@@ -1031,8 +1031,8 @@ class TestDelaySplits:
         for g in graphs:
             slots = switch_slots(g)
             tick = _counter(DEFAULT_STATE_LIMIT, "fpt-delay")
-            search = _delay_search(g, "s", 4, Mode.DELAY, slots, tick)
-            lows_of = _tree_lows(g, "s", slots)
+            search = _delay_search(g, 4, Mode.DELAY, slots, tick)
+            lows_of = _tree_lows(g, slots)
             for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
                 if len(spt.parents) != parts:
                     continue
@@ -1120,10 +1120,10 @@ class TestFptSolversSkipWhatCannotWin:
     def test_no_candidate_covers_more_than_its_trees_bound(self, case):
         g, s, b, mode = case
         slots = switch_slots(g)
-        lows_of = _tree_lows(g, s, slots)
+        lows_of = _tree_lows(g, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
-        delay = _delay_search(g, s, b, Mode.DELAY, slots, tick)
-        general = _general_search(g, s, b, mode, slots, tick)
+        delay = _delay_search(g, b, Mode.DELAY, slots, tick)
+        general = _general_search(g, b, mode, slots, tick)
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
             earliest, got = best_svs_for_spt(g, s, spt), _lows_or_none(g, s, spt, slots, lows_of)
             assert (earliest is None) == (got is None), spt
@@ -1253,11 +1253,11 @@ class TestCostFloors:
             if floor > 0:
                 assert min_cost_for_svs_brute(g, svs, mode, min(b, floor - 1)) is None, svs
         slots = switch_slots(g)
-        lows_of = _tree_lows(g, s, slots)
+        lows_of = _tree_lows(g, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
         searches = (
-            (_delay_search(g, s, b, Mode.DELAY, slots, tick), Mode.DELAY),
-            (_general_search(g, s, b, mode, slots, tick), mode),
+            (_delay_search(g, b, Mode.DELAY, slots, tick), Mode.DELAY),
+            (_general_search(g, b, mode, slots, tick), mode),
         )
         lows = {}
         for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
@@ -1445,6 +1445,23 @@ class TestBestBoundFirst:
                     patched.setattr(solver_budgeted, "placed_trees", fed(order))
                     got.append(_best_tree(g, s, b, search_mode, search_of, tick))
             assert got[1] == got[0] and got[2] == got[0], algo
+
+
+class TestEveryCandidateIsChecked:
+    """_best_tree checks that every candidate a search yields replays
+    temporal, whichever solver's search made it."""
+
+    def test_a_set_priced_without_its_shifts_fails_the_check(self, tight_chain, monkeypatch):
+        # every set priced at no cost and no ops: the first set searched,
+        # a:0->1 c:1->2 on tree 1:0, 2:1 (the best bound), keeps c:1->2
+        # short by one, so its ops do not make it temporal
+        monkeypatch.setattr(solver_budgeted, "_price_sites", lambda *args: (0, ()))
+        tree = SwitchPathTree(((1, 0), (2, 1)))
+        for mode in MODES:
+            with pytest.raises(AssertionError):
+                solve_xp_by_k(tight_chain, "s", 1, mode)
+            with pytest.raises(AssertionError):
+                solve_fixed_spt(tight_chain, "s", 1, mode, tree)
 
 
 def _xp_k_then_fixed_spt(g, s, b, mode):

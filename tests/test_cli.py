@@ -23,9 +23,16 @@ from conftest import graph_of, path
 from oracles import relabel_ops_by_copies
 from tpshift import cli
 from tpshift.cli import DOC_FORMAT, main
-from tpshift.graph_core import normalize_source, parse_instance, validate, write_instance
+from tpshift.graph_core import (
+    ResourceLimitError,
+    normalize_source,
+    parse_instance,
+    validate,
+    write_instance,
+)
 from tpshift.instances import gen_random
 from tpshift.solver_unbounded import solve_mrpt
+from tpshift.switch_structures import enumerate_spts
 
 I1_TEXT = """\
 kpathgraph v1
@@ -605,6 +612,30 @@ class TestEnum:
         assert main(["enum", "spt", "--k", "3", "--partial"]) == 0
         assert capsys.readouterr().out.strip() == "6"
         assert main(["enum", "spt", "--k", "0"]) == 2
+
+    def test_spt_count_is_checked_against_the_limit_up_front(self, capsys, monkeypatch):
+        # 12^10 spanning trees: past the default limit, so exit 4 before
+        # any is built; enumerating them would take days
+        assert main(["enum", "spt", "--k", "12"]) == 4
+        assert "more than 10000000 switch-path trees;" in capsys.readouterr().err
+        monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "3")
+        assert main(["enum", "spt", "--k", "4", "--partial"]) == 4
+        assert "more than 3 switch-path trees" in capsys.readouterr().err
+        # 29 trees with --partial at k=4 fit a limit of 29 exactly
+        monkeypatch.setenv("TPSHIFT_LIMIT_STATES", "29")
+        assert main(["enum", "spt", "--k", "4", "--partial"]) == 0
+        assert capsys.readouterr().out.strip() == "29"
+        monkeypatch.delenv("TPSHIFT_LIMIT_STATES")
+        assert main(["enum", "spt", "--k", "5"]) == 0
+        assert capsys.readouterr().out.strip() == "125"
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_spt_count_matches_the_trees_enumerated(self, k):
+        for partial in (False, True):
+            trees = sum(1 for _ in enumerate_spts(k, include_partial=partial))
+            assert cli._spt_count(k, partial, trees) == trees
+            with pytest.raises(ResourceLimitError):
+                cli._spt_count(k, partial, trees - 1)
 
     def test_spt_list_starts_with_the_bare_root(self, capsys):
         assert main(["enum", "spt", "--k", "2", "--partial", "--list"]) == 0
