@@ -283,12 +283,6 @@ _OP_FIELD_TYPES: _FieldTypes = {"path": _INT, "edge_index": _INT, "delta": _INT}
 _SWITCH_FIELD_TYPES: _FieldTypes = {"vertex": _STR, "from_path": _INT, "to_path": _INT}
 
 
-def _doc_field(doc: dict[str, Any], key: str) -> Any:
-    if key not in doc:
-        raise ParseError(f"solution document lacks {key!r}")
-    return doc[key]
-
-
 def _doc_entries(doc: dict[str, Any], key: str, fields: _FieldTypes) -> list[list[Any]]:
     """The field values, in fields order, of each object in the list doc[key]."""
     entries = doc[key]
@@ -310,7 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict) or doc.get("format") != DOC_FORMAT:
         raise ParseError(f"solution document must declare format {DOC_FORMAT!r}")
     for key in ("instance_sha256", "algo", "mode", "budget", "ops", "cost", "reached"):
-        _doc_field(doc, key)
+        if key not in doc:
+            raise ParseError(f"solution document lacks {key!r}")
     for key, (kind, has_type) in _DOC_FIELD_TYPES.items():
         if not has_type(doc[key]):
             raise ParseError(f"solution document field {key!r} must be {kind}")

@@ -204,19 +204,15 @@ def gen_mcis_delay_gadget(
     for name, nodes in mcis.colors:
         for i, node in enumerate(nodes, start=1):
             index[node] = (name, i, len(nodes))
-    fwd_gap: dict[tuple[str, int], list[str]] = {}
-    bwd_gap: dict[tuple[str, int], list[str]] = {}
+    gap: dict[tuple[str, int], list[str]] = {}  # (color, i) -> the edges at node i
     stranded: list[str] = []  # edges between two one-node colors
     for edge in sorted(mcis.edges, key=sorted):
         ev = _edge_vertex(edge)
         if all(index[node][2] == 1 for node in edge):
             stranded.append(ev)
         for node in sorted(edge):
-            color, i, n = index[node]
-            if i >= 2:
-                fwd_gap.setdefault((color, i), []).append(ev)
-            if i <= n - 1:
-                bwd_gap.setdefault((color, i), []).append(ev)
+            color, i, _ = index[node]
+            gap.setdefault((color, i), []).append(ev)
 
     paths = [
         BasePath(0, tuple(spine), tuple(range(len(spine) - 1)))
@@ -224,29 +220,18 @@ def gen_mcis_delay_gadget(
 
     for name, nodes in mcis.colors:
         n = len(nodes)
-        verts = [_top(name, 1), _bot(name, 1)]
-        labels = [-(n - 1) * omega]
-        for i in range(2, n + 1):
-            for ev in fwd_gap.get((name, i), ()):
-                verts.append(ev)
-                labels.append(labels[-1] + 1)
-            verts.append(_top(name, i))
-            labels.append(labels[-1] + 1)
-            verts.append(_bot(name, i))
-            labels.append(-(n - i) * omega)
-        paths.append(BasePath(len(paths), tuple(verts), tuple(labels)))
-
-        verts = [_top(name, n - 1), _bot(name, n - 1)]
-        labels = [-(n - 1) * omega]
-        for i in range(n - 1, 0, -1):
-            for ev in bwd_gap.get((name, i), ()):
-                verts.append(ev)
-                labels.append(labels[-1] + 1)
-            verts.append(_top(name, i - 1))
-            labels.append(labels[-1] + 1)
-            verts.append(_bot(name, i - 1))
-            labels.append(-(i - 1) * omega)
-        paths.append(BasePath(len(paths), tuple(verts), tuple(labels)))
+        for pairs in (range(1, n + 1), range(n - 1, -1, -1)):  # forward, then backward
+            verts, labels = [_top(name, pairs[0])], []
+            for step, i in enumerate(pairs):
+                if step:
+                    # the gap between two pairs is keyed by the higher pair
+                    # index and holds the edges at that node; the next top follows
+                    for v in (*gap.get((name, max(i, pairs[step - 1])), ()), _top(name, i)):
+                        verts.append(v)
+                        labels.append(labels[-1] + 1)
+                verts.append(_bot(name, i))
+                labels.append(-(len(pairs) - 1 - step) * omega)  # pairs still to walk
+            paths.append(BasePath(len(paths), tuple(verts), tuple(labels)))
     for ev in stranded:
         paths.append(BasePath(len(paths), (ev, f"{ev}:tail"), (0,)))
 

@@ -250,24 +250,24 @@ def min_cost_for_svs(
     _check_budget(b)
     if not is_valid_svs(graph, svs):
         raise ValidityError("switch-vertex-set is not valid for this graph")
-    start = graph.source_path.find(graph.source)
-    return _price_sites(graph, _sites_of(graph, svs), start, mode, b)
+    return _price_sites(graph, _sites_of(graph, svs), mode, b)
 
 
 def _price_sites(
-    graph: TemporalKPathGraph, sites: Sequence[Site], start: int, mode: Mode, b: int
+    graph: TemporalKPathGraph, sites: Sequence[Site], mode: Mode, b: int
 ) -> tuple[int, tuple[ShiftOperation, ...]] | None:
     """min_cost_for_svs for the valid switch set at sites, unchecked; b may
     be negative, which nothing meets.
 
     sites come sorted by child, as tree_sites yields them, the d variables'
-    order; start is the source's position on its path. The program is built
-    on variable indices in one pass over the off paths, declared in the
-    order d, a, then per path its pd/h, m/u and e (see below) among that
-    path's rows, zero coefficients dropped, and the lexicographic search
-    returns its lex-smallest optimum in that order. Ops are read from d and
-    a alone, which come first, so the order among the others cannot change
-    them.
+    order. The source path's anchor, the source's position on it, is read
+    off the graph as tree_sites reads it, once a program is to be built.
+    The program is built on variable indices in one pass over the off
+    paths, declared in the order d, a, then per path its pd/h, m/u and e
+    (see below) among that path's rows, zero coefficients dropped, and the
+    lexicographic search returns its lex-smallest optimum in that order.
+    Ops are read from d and a alone, which come first, so the order among
+    the others cannot change them.
 
     Each switch's shortfall sigma (switch_slots) is read off the labels
     once, here: its row's room is -sigma, and the set's floor is
@@ -294,7 +294,7 @@ def _price_sites(
     allow_delay = mode is not Mode.ADVANCE
     allow_advance = mode is not Mode.DELAY
     src = graph.source_path_id
-    anchor = {src: start}
+    anchor = {src: graph.source_path.find(graph.source)}
     offs: dict[int, list[int]] = {}
     for p, pos_p, q, pos_q in sites:
         anchor[q] = pos_q
@@ -416,15 +416,13 @@ def _cost_floor(mode: Mode, shortfalls: Iterable[tuple[int, int, int]]) -> int:
     return sum(worst.values())  # a sum of ints: the dict's order cannot matter
 
 
-def _affordable_slots(
-    graph: TemporalKPathGraph, b: int, pairs: Iterable[tuple[int, int]] | None = None
-) -> SlotTable:
-    """switch_slots(graph, pairs) less every slot whose switch is short by
-    more than b, its sigma: making that switch temporal costs any plan at
-    least its shortfall (_cost_floor), so no candidate within b uses it."""
+def _affordable_slots(graph: TemporalKPathGraph, b: int) -> SlotTable:
+    """switch_slots(graph) less every slot whose switch is short by more
+    than b, its sigma: making that switch temporal costs any plan at least
+    its shortfall (_cost_floor), so no candidate within b uses it."""
     return {
         pair: tuple(slot for slot in at if slot[2] <= b)
-        for pair, at in switch_slots(graph, pairs).items()
+        for pair, at in switch_slots(graph).items()
     }
 
 
@@ -438,12 +436,13 @@ def _best_tree(
     (spt_rank), whatever the order they come in.
 
     It checks b (_check_budget) and s (_require_source), keeps only the
-    slots a switch can take within b (_affordable_slots), and takes the
-    trees with their earliest placements on them: every tree that places
-    (placed_trees), or, given spt, that one tree, checked first (one parent
-    per path, none to the root; edges on the graph; hanging under the
-    source path, each a ParameterError), if it places (earliest_sites), its
-    slots built for its own edges only.
+    slots a switch can take within b (_affordable_slots), one table for
+    every solver, and takes the trees with their earliest placements on
+    them: every tree that places (placed_trees), or, given spt, that one
+    tree, checked first (one parent per path, none to the root; edges on
+    the graph; hanging under the source path, each a ParameterError), if it
+    places (earliest_sites, which reads only spt's own pairs of the table,
+    as tree_sites and _tree_lows read only a tree's edges).
 
     search_of(graph, b, mode, slots, tick) builds the per-tree search, tick
     being its counter (_counter). s is graph.source from here on, at
@@ -478,8 +477,8 @@ def _best_tree(
     """
     _check_budget(b)
     _require_source(graph, s)
+    slots = _affordable_slots(graph, b)
     if spt is None:
-        slots = _affordable_slots(graph, b)
         trees = placed_trees(graph, 0, slots)
     else:
         root, mapping = graph.source_path_id, dict(spt.parents)
@@ -494,12 +493,10 @@ def _best_tree(
             raise ParameterError(
                 f"tree does not hang together under the source path (path {root})"
             )
-        slots = _affordable_slots(graph, b, [(parent, child) for child, parent in spt.parents])
         placed = earliest_sites(graph, spt, 0, slots)
         trees = [] if placed is None else [(spt, placed)]
     search = search_of(graph, b, mode, slots, tick)
     union = _suffix_union_at(graph, s)
-    lows_of = _tree_lows(graph, slots)
     ranked = sorted(
         ((-len(union(sites)), spt_rank(spt), spt, sites) for spt, sites in trees),
         key=itemgetter(0, 1),
@@ -516,7 +513,7 @@ def _best_tree(
         bound = -minus_bound
         if bound < best_reach:
             break  # so is every tree after it
-        lows = lows_of(placed)
+        lows = _tree_lows(graph, slots, placed)
         if _cost_floor(mode, lows) > cap(bound):
             continue
         for ops, cost, sites in search(spt, lows, bound, cap):
@@ -530,10 +527,10 @@ def _best_tree(
 
 
 def _tree_lows(
-    graph: TemporalKPathGraph, slots: SlotTable
-) -> Callable[[Sequence[Site]], list[tuple[int, int, int]]]:
-    """lows_of(sites): each edge of a tree as (parent, child, low), in the
-    order of sites, the tree's earliest placement on slots (placed_trees).
+    graph: TemporalKPathGraph, slots: SlotTable, sites: Sequence[Site]
+) -> list[tuple[int, int, int]]:
+    """Each edge of a tree as (parent, child, low), in the order of sites,
+    the tree's earliest placement on slots (placed_trees).
 
     An edge's low is the least sigma (switch_slots) among its slots after
     its parent's anchor in the earliest placement, its own slot there being
@@ -542,18 +539,14 @@ def _tree_lows(
     edge's low: _cost_floor of the lows is at most any candidate's cost. On
     _affordable_slots at b every low is at most b, and the placement and
     lows are those of the slots a candidate within b can use: later and
-    higher than on the full table.
+    higher than on the full table. The source sits at position 0 of its
+    path (_best_tree).
     """
-    src = graph.source_path_id
-
-    def lows_of(sites: Sequence[Site]) -> list[tuple[int, int, int]]:
-        anchor = {src: 0, **{c: pos_c for _, _, c, pos_c in sites}}
-        return [
-            (p, c, min(sigma for pos_p, _, sigma in slots[(p, c)] if pos_p > anchor[p]))
-            for p, _, c, _ in sites
-        ]
-
-    return lows_of
+    anchor = {graph.source_path_id: 0, **{c: pos_c for _, _, c, pos_c in sites}}
+    return [
+        (p, c, min(sigma for pos_p, _, sigma in slots[(p, c)] if pos_p > anchor[p]))
+        for p, _, c, _ in sites
+    ]
 
 
 def _replayed(graph: TemporalKPathGraph, best: _Candidate | None) -> BudgetedSolution:
@@ -574,8 +567,7 @@ def _set_search(
     floor is past it. So a set that prices at all becomes the best, and its
     ops need no second pricing at b: within any budget c >= its cheapest
     cost C the integer program has the same lex-smallest optimum, which
-    moves no amount by more than C. The source sits at position 0 of its
-    path (_best_tree)."""
+    moves no amount by more than C."""
     union = _suffix_union_at(graph, graph.source)
 
     def search(
@@ -583,7 +575,7 @@ def _set_search(
     ) -> Iterator[_Candidate]:
         for sites in tree_sites(graph, spt, slots):
             tick()
-            priced = _price_sites(graph, sites, 0, mode, cap(len(union(sites))))
+            priced = _price_sites(graph, sites, mode, cap(len(union(sites))))
             if priced is not None:
                 yield priced[1], priced[0], sites
 

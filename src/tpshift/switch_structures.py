@@ -253,9 +253,7 @@ def root_first(
 SlotTable = dict[tuple[int, int], tuple[tuple[int, int, int], ...]]
 
 
-def switch_slots(
-    graph: TemporalKPathGraph, pairs: Iterable[tuple[int, int]] | None = None
-) -> SlotTable:
+def switch_slots(graph: TemporalKPathGraph) -> SlotTable:
     """Where a switch can sit, for every ordered pair of distinct paths.
 
     slots[(parent, child)] holds (pos on parent, pos on child, sigma) for
@@ -267,23 +265,21 @@ def switch_slots(
     build the table once per solve and read each slot's sigma from it;
     pricing one switch set reads its switches' sigmas off the labels once
     more (_price_sites). Which slots there are does not depend on labels.
-    Given pairs, only those (parent, child) entries are built.
     """
-    if pairs is None:
-        pairs = [(p, c) for p in range(graph.k) for c in range(graph.k) if p != c]
-    where: dict[int, dict[Vertex, int]] = {}  # per parent: each vertex's position
     table = {}
-    for parent, child in pairs:
-        if parent not in where:
-            where[parent] = {}
-            for i, v in enumerate(graph.paths[parent].vertices):
-                where[parent].setdefault(v, i)  # the first occurrence, as BasePath.find
-        on_parent, into, out = where[parent], graph.paths[parent].labels, graph.paths[child].labels
-        table[(parent, child)] = tuple(
-            (pos_p, pos_c, into[pos_p - 1] - out[pos_c] + 1)
-            for pos_c, v in enumerate(graph.paths[child].vertices[:-1])
-            if (pos_p := on_parent.get(v, 0)) >= 1
-        )
+    for parent in range(graph.k):
+        on_parent: dict[Vertex, int] = {}  # each vertex's position on the parent
+        for i, v in enumerate(graph.paths[parent].vertices):
+            on_parent.setdefault(v, i)  # the first occurrence, as BasePath.find
+        into = graph.paths[parent].labels
+        for child in range(graph.k):
+            if child != parent:
+                out = graph.paths[child].labels
+                table[(parent, child)] = tuple(
+                    (pos_p, pos_c, into[pos_p - 1] - out[pos_c] + 1)
+                    for pos_c, v in enumerate(graph.paths[child].vertices[:-1])
+                    if (pos_p := on_parent.get(v, 0)) >= 1
+                )
     return table
 
 

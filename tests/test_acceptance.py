@@ -246,7 +246,9 @@ def test_09_delay_solvers_decide_small_two_color_gadgets():
     # and xp-k and fpt-delay agree on (reach, cost). So does fpt-general on
     # the 11 gadgets with a one-node color or no edge. It takes 0.3-1 s on
     # each of the other 15, and the one with all four edges passes 10**6
-    # guesses, from its sibling orders (ROADMAP item 3)
+    # guesses: each child's carried delay runs over range(delay_cap + 1),
+    # which grows with the gadget's labels, not its sibling orders
+    # (ROADMAP item 2)
     checked = general = 0
     for mcis in _two_color_instances():
         (_, a_nodes), (_, b_nodes) = mcis.colors

@@ -105,7 +105,7 @@ def _unpruned(g, s, b, search_on, what, limit, placed_only, slots=None):
     placement, which _best_tree never searches. slots defaults to every
     slot, switch_slots(g)."""
     slots = switch_slots(g) if slots is None else slots
-    search, lows_of = search_on(slots, _counter(limit, what)), _tree_lows(g, slots)
+    search, lows_of = search_on(slots, _counter(limit, what)), partial(_tree_lows, g, slots)
     trees = enumerate_spts(g.k, include_partial=True, root=g.source_path_id)
     return [
         candidate
@@ -506,7 +506,6 @@ class TestPricingMatchesTheNamedModel:
         if k < 5:  # a mid-path source adds a path
             cases.append(normalize_source(g, g.paths[1].vertices[1], 5))
         for g in cases:
-            start = g.source_path.find(g.source)
             slots = switch_slots(g)
             for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
                 for sites in tree_sites(g, spt, slots):
@@ -515,7 +514,7 @@ class TestPricingMatchesTheNamedModel:
                         for b in range(6):
                             want = min_cost_for_svs_by_names(g, svs, mode, b)
                             assert min_cost_for_svs(g, svs, mode, b) == want, (svs, mode, b)
-                            got = _price_sites(g, sites, start, mode, b)
+                            got = _price_sites(g, sites, mode, b)
                             assert got == want, (svs, mode, b)
 
 
@@ -1032,7 +1031,7 @@ class TestDelaySplits:
             slots = switch_slots(g)
             tick = _counter(DEFAULT_STATE_LIMIT, "fpt-delay")
             search = _delay_search(g, 4, Mode.DELAY, slots, tick)
-            lows_of = _tree_lows(g, slots)
+            lows_of = partial(_tree_lows, g, slots)
             for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
                 if len(spt.parents) != parts:
                     continue
@@ -1120,7 +1119,7 @@ class TestFptSolversSkipWhatCannotWin:
     def test_no_candidate_covers_more_than_its_trees_bound(self, case):
         g, s, b, mode = case
         slots = switch_slots(g)
-        lows_of = _tree_lows(g, slots)
+        lows_of = partial(_tree_lows, g, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
         delay = _delay_search(g, b, Mode.DELAY, slots, tick)
         general = _general_search(g, b, mode, slots, tick)
@@ -1253,7 +1252,7 @@ class TestCostFloors:
             if floor > 0:
                 assert min_cost_for_svs_brute(g, svs, mode, min(b, floor - 1)) is None, svs
         slots = switch_slots(g)
-        lows_of = _tree_lows(g, slots)
+        lows_of = partial(_tree_lows, g, slots)
         tick = _counter(DEFAULT_STATE_LIMIT, "guesses")
         searches = (
             (_delay_search(g, b, Mode.DELAY, slots, tick), Mode.DELAY),
@@ -1297,7 +1296,6 @@ class TestAffordableSlots:
         assert switch_slots(g)[(0, 1)] == ((1, 1, 2), (2, 3, -2))
         assert _affordable_slots(g, 1)[(0, 1)] == ((2, 3, -2),)
         assert _affordable_slots(g, 2) == switch_slots(g)
-        assert _affordable_slots(g, 1, [(0, 1)]) == {(0, 1): ((2, 3, -2),)}
 
     @pytest.mark.parametrize("b, board, bound", [(1, "c", 5), (2, "a", 6)])
     def test_the_trees_bound_is_its_affordable_suffix(

@@ -435,12 +435,9 @@ class TestVerify:
         assert rc == 0
         assert lines and all(ln.startswith("PASS ") for ln in lines)
 
-    def tampered(self, tmp_path, capsys, i1_file, **changes):
+    def tampered(self, tmp_path, capsys, i1_file, solver=("--algo", "xp-k"), **changes):
         sol = tmp_path / "sol.json"
-        rc = main(
-            ["solve", str(i1_file), "--algo", "xp-k", "--budget", "1",
-             "--output", str(sol)]
-        )
+        rc = main(["solve", str(i1_file), *solver, "--budget", "1", "--output", str(sol)])
         assert rc == 0
         capsys.readouterr()
         doc = json.loads(sol.read_text())
@@ -466,6 +463,18 @@ class TestVerify:
             tmp_path, capsys, i1_file, reached=["a", "b", "s", "x", "y"]
         )
         assert rc == 1 and "FAIL reached-correct" in out
+
+    def test_fixed_spt_witness_that_fails(self, tmp_path, capsys, i1_file):
+        # the fixed-spt document at b=1 boards path 1 at a with one advance;
+        # without it the switch is not temporal, and without a witness there
+        # is no suffix union to claim, so either way the reach is wrong
+        fixed = ("--algo", "fixed-spt", "--spt", "1:0")
+        rc, out = self.tampered(tmp_path, capsys, i1_file, fixed, ops=[], cost=0)
+        assert rc == 1 and "FAIL witness-temporal" in out and "FAIL reached-correct" in out
+        assert "PASS witness-valid" in out
+        rc, out = self.tampered(tmp_path, capsys, i1_file, fixed, witness_svs=None)
+        assert rc == 1 and "FAIL reached-correct" in out
+        assert "PASS cost-consistent" in out and "witness-" not in out
 
     def test_tampered_mode(self, tmp_path, capsys, i1_file):
         rc, out = self.tampered(

@@ -157,6 +157,38 @@ class TestDelayGadget:
         assert is_normalized(g, "s")
         assert len(g.vertices()) == 14
 
+    def test_frozen_three_node_color(self):
+        # each spine of A takes two steps, and both of its gaps hold an
+        # edge vertex on both spines; B's backward gap holds two
+        mcis = parse_mcis(
+            "color A: a1 a2 a3\ncolor B: b1 b2\nedge a1 b2\nedge a2 b1\nedge a3 b1\n"
+        )
+        gadget = gen_mcis_delay_gadget(mcis)
+        g = gadget.graph
+        assert gadget.omega == 5**4 == 625
+        assert gadget.budget == 2 * 625 + 625 + 624 == 2499
+        assert g.k == 5
+        assert g.paths[0].vertices == (
+            "s", "A:t0", "A:t1", "A:t2", "A:t3", "B:t0", "B:t1", "B:t2",
+        )
+        assert g.paths[0].labels == (0, 1, 2, 3, 4, 5, 6)
+        assert g.paths[1].vertices == (
+            "A:t1", "A:b1", "e:a2:b1", "A:t2", "A:b2", "e:a3:b1", "A:t3", "A:b3",
+        )
+        assert g.paths[1].labels == (-1250, -1249, -1248, -625, -624, -623, 0)
+        assert g.paths[2].vertices == (
+            "A:t2", "A:b2", "e:a2:b1", "A:t1", "A:b1", "e:a1:b2", "A:t0", "A:b0",
+        )
+        assert g.paths[2].labels == (-1250, -1249, -1248, -625, -624, -623, 0)
+        assert g.paths[3].vertices == ("B:t1", "B:b1", "e:a1:b2", "B:t2", "B:b2")
+        assert g.paths[3].labels == (-625, -624, -623, 0)
+        assert g.paths[4].vertices == (
+            "B:t1", "B:b1", "e:a2:b1", "e:a3:b1", "B:t0", "B:b0",
+        )
+        assert g.paths[4].labels == (-625, -624, -623, -622, 0)
+        assert validate(g) == []
+        assert len(g.vertices()) == 18
+
     def test_untouched_gadget_reaches_only_the_spine(self):
         gadget = gen_mcis_delay_gadget(parse_mcis(ONE_EDGE))
         assert reach_set(gadget.graph, "s") == set(gadget.graph.paths[0].vertices)

@@ -25,6 +25,7 @@ from tpshift.switch_structures import (
     EMPTY_SVS,
     Switch,
     SwitchPathTree,
+    earliest_sites,
     enumerate_spts,
     enumerate_svss,
     implied_spt,
@@ -35,6 +36,7 @@ from tpshift.switch_structures import (
     suffix_union,
     svs_reachability,
     switch_slots,
+    tree_sites,
     _switch_edge_positions,
 )
 
@@ -399,13 +401,15 @@ class TestSwitchSlots:
         assert slots == _with_label_sigmas(g, slots)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_a_subset_of_pairs_is_that_part_of_the_table(self, seed):
-        # fixed-spt builds only its tree's pairs
+    def test_a_tree_reads_only_its_own_pairs_of_the_table(self, seed):
+        # fixed-spt places and enumerates its tree on the whole table, so
+        # the other pairs' slots must change neither
         g = gen_random(3 + seed % 3, 5, 12, 0.7, seed=1700 + seed)
         full = switch_slots(g)
-        pairs = [(p, c) for p, c in full if (p + c + seed) % 3 == 0]
-        assert switch_slots(g, pairs) == {pair: full[pair] for pair in pairs}
-        assert switch_slots(g, []) == {}
+        for spt in enumerate_spts(g.k, include_partial=True, root=g.source_path_id):
+            own = {(p, c): full[(p, c)] for c, p in spt.parents}
+            assert earliest_sites(g, spt, 0, full) == earliest_sites(g, spt, 0, own), spt
+            assert list(tree_sites(g, spt, full)) == list(tree_sites(g, spt, own)), spt
 
 
 def _outcome(fn, *args):
